@@ -127,15 +127,16 @@ func (s *Service) poolSaturated() bool {
 	return s.pool.busyWorkers() >= s.cfg.Workers && 2*s.pool.backlog() >= s.pool.capacity()
 }
 
-// admitSweep is the admission gate. cachedCells of totalCells are
-// already resident in the sim cache. It returns degraded=true when the
-// sweep should bypass the saturated pool and run inline off the cache,
-// or a tooBusyError when the sweep cannot finish before its deadline.
+// admitSweep is the admission gate, pricing sw by how many of its
+// cells are already resident in the sim cache. It returns
+// degraded=true when the sweep should bypass the saturated pool and
+// run inline off the cache, or a tooBusyError when the sweep cannot
+// finish before its deadline.
 // Sweeps without a deadline are always admitted — they can wait
 // arbitrarily long, and the pool's bounded queue still backpressures
 // them.
-func (s *Service) admitSweep(deadline *time.Time, totalCells, cachedCells int, cfgName, scaleName string) (degraded bool, err error) {
-	uncached := totalCells - cachedCells
+func (s *Service) admitSweep(deadline *time.Time, sw *sweep) (degraded bool, err error) {
+	uncached := len(sw.cells) - s.countCachedCells(sw.cells)
 	if uncached == 0 && s.poolSaturated() {
 		// Fully answerable from the cache: serve it inline rather than
 		// queueing no-op tasks behind saturated workers.
@@ -144,7 +145,7 @@ func (s *Service) admitSweep(deadline *time.Time, totalCells, cachedCells int, c
 	if deadline == nil || uncached == 0 {
 		return false, nil
 	}
-	est, ok := s.costs.estimate(cfgName, scaleName)
+	est, ok := s.costs.estimate(sw.cfgName, sw.scaleName)
 	if !ok {
 		// No cost data yet: never shed blind. The deadline still
 		// protects the client — the sweep will be canceled mid-flight if
@@ -182,10 +183,10 @@ func (s *Service) meanOr(fallback float64) float64 {
 // file read, not simulation seconds, so a fully-spilled repeat sweep
 // prices near zero and must not be shed with a 429 on backlog math
 // that assumes it will simulate.
-func (s *Service) countCachedCells(keys []string) int {
+func (s *Service) countCachedCells(cells []*cell) int {
 	n := 0
-	for _, k := range keys {
-		if s.simCache.Contains(k) {
+	for _, c := range cells {
+		if s.simCache.Contains(c.key) {
 			n++
 		}
 	}

@@ -47,8 +47,7 @@ const simCellBytes = 512
 
 // newSimCache builds the tiered simulation-result cache over disk
 // (which may be nil for a memory-only cache). Spill payloads are the
-// same JSON shape the legacy snapshot stored per entry, so migrated
-// entries and fresh spills are indistinguishable on disk.
+// JSON encoding of one simCell.
 func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 	c, err := cache.NewTiered(cache.TieredOptions[*simCell]{
 		Capacity: capacity,

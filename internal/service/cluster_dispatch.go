@@ -11,18 +11,13 @@ package service
 // a cell.
 
 import (
+	"context"
 	"encoding/json"
 	"strconv"
 	"sync"
-	"time"
-
-	"context"
 
 	"valleymap/internal/cluster"
-	"valleymap/internal/gpusim"
-	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
-	"valleymap/internal/workload"
 )
 
 // remoteRounds bounds how many remote attempts a cell gets before the
@@ -30,43 +25,23 @@ import (
 // one steal onto the next-ranked healthy peer.
 const remoteRounds = 2
 
-// clusterCellRef tracks one cell through remote dispatch: its grid
-// slot, wire form, affinity key and the peers that already failed it.
-type clusterCellRef struct {
-	wi, si int
-	cell   cluster.Cell
-	key    string
-	tried  map[string]bool
-}
-
 // dispatchCluster shards the sweep across the cluster client's healthy
 // peers and reports whether it took ownership of the sweep. It returns
-// false only when no peer is reachable at entry — the caller then runs
-// the whole sweep through dispatchLocal, the single-node path. Once it
-// returns true, every cell has been delivered, failed or abandoned to
-// cancellation, exactly like dispatchLocal.
-func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []workload.Spec, schemes []mapping.Scheme, cfg gpusim.Config, scale workload.Scale, seed int64, result *SimulateResult, tr *obs.Trace, root obs.SpanRef, apps []sharedApp, deliver func(wi, si int, done CellResult), fail func(error)) bool {
+// false only when no peer is reachable at entry — the caller then fans
+// the whole sweep out locally, the single-node path. Once it returns
+// true, every cell has been delivered, failed or abandoned to
+// cancellation, exactly like a local fan-out.
+func (s *Service) dispatchCluster(ctx context.Context, sw *sweep) bool {
 	cl := s.cfg.Cluster
 	if len(cl.Healthy()) == 0 {
 		// Every peer is in its down cooldown: degrade to plain local
 		// execution rather than burning rounds on known-dead peers.
-		root.Annotate(obs.Attr{Key: "cluster", Value: "all_peers_down"})
+		sw.root.Annotate(obs.Attr{Key: "cluster", Value: "all_peers_down"})
 		return false
 	}
-	root.Annotate(obs.Attr{Key: "cluster", Value: "sharded"})
+	sw.root.Annotate(obs.Attr{Key: "cluster", Value: "sharded"})
 
-	pending := make([]*clusterCellRef, 0, len(specs)*len(schemes))
-	for wi := range specs {
-		for si := range schemes {
-			pending = append(pending, &clusterCellRef{
-				wi:   wi,
-				si:   si,
-				cell: cluster.Cell{Workload: specs[wi].Abbr, Scheme: string(schemes[si])},
-				key:  simCellKey(specs[wi].Abbr, result.Scale, schemes[si], result.Config, seed),
-			})
-		}
-	}
-
+	pending := sw.cells
 	for round := 0; round < remoteRounds && len(pending) > 0 && ctx.Err() == nil; round++ {
 		healthy := cl.Healthy()
 		if len(healthy) == 0 {
@@ -75,110 +50,94 @@ func (s *Service) dispatchCluster(ctx context.Context, jobID string, specs []wor
 		// Group this round's cells by their best untried healthy peer.
 		// Rendezvous ranking makes the choice stable across sweeps and
 		// coordinators: the same key always prefers the same peer.
-		batches := map[string][]*clusterCellRef{}
-		var exhausted []*clusterCellRef
-		for _, r := range pending {
+		batches := map[string][]*cell{}
+		var exhausted []*cell
+		for _, c := range pending {
 			var peer string
-			for _, p := range cluster.Rank(r.key, healthy) {
-				if !r.tried[p] {
+			for _, p := range cluster.Rank(c.key, healthy) {
+				if !c.tried[p] {
 					peer = p
 					break
 				}
 			}
 			if peer == "" {
 				// Every healthy peer already failed this cell.
-				exhausted = append(exhausted, r)
+				exhausted = append(exhausted, c)
 				continue
 			}
-			if len(r.tried) > 0 {
+			if len(c.tried) > 0 {
 				// Re-dispatch after a failure elsewhere: a steal.
 				s.metrics.ClusterSteal()
 			}
-			batches[peer] = append(batches[peer], r)
+			batches[peer] = append(batches[peer], c)
 		}
 
 		var (
 			wg       sync.WaitGroup
 			failedMu sync.Mutex
-			failed   []*clusterCellRef
+			failed   []*cell
 		)
-		for peer, refs := range batches {
-			s.metrics.ClusterDispatched(peer, len(refs))
+		for peer, cells := range batches {
+			s.metrics.ClusterDispatched(peer, len(cells))
 			wg.Add(1)
-			go func(peer string, refs []*clusterCellRef) {
+			go func(peer string, cells []*cell) {
 				defer wg.Done()
-				left := s.runPeerBatch(ctx, peer, refs, result, seed, tr, root, deliver)
+				left := s.runPeerBatch(ctx, sw, peer, cells)
 				if len(left) > 0 {
 					failedMu.Lock()
 					failed = append(failed, left...)
 					failedMu.Unlock()
 				}
-			}(peer, refs)
+			}(peer, cells)
 		}
 		wg.Wait()
 		pending = append(failed, exhausted...)
 	}
 
 	// Last resort: whatever the cluster could not place runs on the
-	// local pool through the exact same cell core a single-node sweep
-	// uses. Stolen-to-local cells count as both a steal and a local
-	// fallback.
+	// local pool through the same fan-out a single-node sweep uses.
+	// Stolen-to-local cells count as both a steal and a local fallback.
 	if len(pending) > 0 && ctx.Err() == nil {
-		var wg sync.WaitGroup
-		for _, r := range pending {
-			if ctx.Err() != nil {
-				break
-			}
-			if len(r.tried) > 0 {
+		for _, c := range pending {
+			if len(c.tried) > 0 {
 				s.metrics.ClusterSteal()
 			}
 			s.metrics.ClusterLocalCell()
-			ce := cellExec{
-				sp: specs[r.wi], sc: schemes[r.si], sa: &apps[r.wi],
-				scale: scale, scaleName: result.Scale,
-				cfg: cfg, cfgName: result.Config,
-				seed: seed, tr: tr, span: root,
-			}
-			wg.Add(1)
-			if !s.pool.submit(s.cellTask(ctx, jobID, r.wi, r.si, ce, time.Now(), &wg, deliver, fail)) {
-				wg.Done()
-				fail(errClosed)
-				break
-			}
 		}
-		wg.Wait()
+		s.fanOut(ctx, sw, pending)
 	}
 	return true
 }
 
 // runPeerBatch executes one peer's share of a round and returns the
-// refs the peer did not deliver (to be stolen next round). Delivered
+// cells the peer did not deliver (to be stolen next round). Delivered
 // cells are final: they leave the outstanding set before deliver runs,
-// and a ref absent from the returned slice is never re-dispatched, so
+// and a cell absent from the returned slice is never re-dispatched, so
 // no cell can land in the event log twice.
-func (s *Service) runPeerBatch(ctx context.Context, peer string, refs []*clusterCellRef, result *SimulateResult, seed int64, tr *obs.Trace, root obs.SpanRef, deliver func(wi, si int, done CellResult)) []*clusterCellRef {
-	span := tr.Start(root.ID(), "peer_batch",
+func (s *Service) runPeerBatch(ctx context.Context, sw *sweep, peer string, cells []*cell) []*cell {
+	span := sw.tr.Start(sw.root.ID(), "peer_batch",
 		obs.Attr{Key: "peer", Value: peer},
-		obs.Attr{Key: "cells", Value: strconv.Itoa(len(refs))},
+		obs.Attr{Key: "cells", Value: strconv.Itoa(len(cells))},
 	)
 	defer span.End()
 
 	// outstanding is confined to this goroutine: ExecuteCells invokes
 	// onCell sequentially on the calling goroutine, in stream order.
-	outstanding := make(map[cluster.Cell]*clusterCellRef, len(refs))
+	outstanding := make(map[cluster.Cell]*cell, len(cells))
 	b := cluster.Batch{
-		Cells:  make([]cluster.Cell, 0, len(refs)),
-		Scale:  result.Scale,
-		Config: result.Config,
-		Seed:   seed,
+		Cells:  make([]cluster.Cell, 0, len(cells)),
+		Scale:  sw.scaleName,
+		Config: sw.cfgName,
+		Seed:   sw.seed,
 	}
-	for _, r := range refs {
-		outstanding[r.cell] = r
-		b.Cells = append(b.Cells, r.cell)
+	for _, c := range cells {
+		wc := cluster.Cell{Workload: c.sp.Abbr, Scheme: string(c.sc)}
+		outstanding[wc] = c
+		b.Cells = append(b.Cells, wc)
 	}
 
-	err := s.cfg.Cluster.ExecuteCells(ctx, peer, tr.ID(), b, func(c cluster.Cell, payload json.RawMessage) {
-		r, ok := outstanding[c]
+	err := s.cfg.Cluster.ExecuteCells(ctx, peer, sw.tr.ID(), b, func(wc cluster.Cell, payload json.RawMessage) {
+		c, ok := outstanding[wc]
 		if !ok {
 			// Unknown or duplicate coordinates: a confused worker.
 			// Ignoring the update is always safe — the cell either
@@ -187,43 +146,38 @@ func (s *Service) runPeerBatch(ctx context.Context, peer string, refs []*cluster
 		}
 		var done CellResult
 		if json.Unmarshal(payload, &done) != nil {
-			// Undecodable payload: leave the ref outstanding so the
-			// cell is stolen and re-executed (cells are deterministic
+			// Undecodable payload: leave the cell outstanding so it
+			// is stolen and re-executed (cells are deterministic
 			// and cache-coalesced, so re-execution is safe; only
 			// deliver must happen at most once).
 			return
 		}
 		// The worker's identity fields are authoritative only for the
 		// cells we asked it for; pin the coordinates we dispatched.
-		done.Workload = c.Workload
-		done.Scheme = c.Scheme
-		delete(outstanding, c)
+		done.Workload = wc.Workload
+		done.Scheme = wc.Scheme
+		delete(outstanding, wc)
 		s.metrics.cellSeconds.Observe(done.Seconds)
 		if !done.Cached {
 			// The peer paid for a real simulation; its measured cost
 			// still prices this coordinator's admission gate.
-			s.costs.observe(result.Config, result.Scale, done.Seconds)
+			s.costs.observe(sw.cfgName, sw.scaleName, done.Seconds)
 		}
-		deliver(r.wi, r.si, done)
+		sw.deliver(c, done)
 	})
 	if err != nil {
 		span.Annotate(obs.Attr{Key: "error", Value: err.Error()})
 		s.log.Warn("cluster batch failed; outstanding cells will be stolen",
-			"peer", peer, "trace_id", tr.ID(),
+			"peer", peer, "trace_id", sw.tr.ID(),
 			"outstanding", len(outstanding), "error", err)
 	}
-	var left []*clusterCellRef
-	for _, r := range outstanding {
-		r.tried = mergeTried(r.tried, peer)
-		left = append(left, r)
+	var left []*cell
+	for _, c := range outstanding {
+		if c.tried == nil {
+			c.tried = map[string]bool{}
+		}
+		c.tried[peer] = true
+		left = append(left, c)
 	}
 	return left
-}
-
-func mergeTried(tried map[string]bool, peer string) map[string]bool {
-	if tried == nil {
-		tried = map[string]bool{}
-	}
-	tried[peer] = true
-	return tried
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"valleymap/internal/cluster"
@@ -22,8 +21,9 @@ import (
 // grid's own bound (every workload × every scheme is far below this).
 const maxBatchCells = 4096
 
-// cellOutcome is one worker-local cell completion, fed from pool tasks
-// to the streaming response loop over a buffered channel.
+// cellOutcome is one worker-local cell completion, fed from the
+// batch's deliver/fail sinks to the streaming response loop over a
+// buffered channel.
 type cellOutcome struct {
 	i    int
 	done CellResult
@@ -51,37 +51,32 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("batch has %d cells (limit %d)", len(b.Cells), maxBatchCells))
 		return
 	}
-	// One shared trace build per workload, exactly like a local sweep's
-	// apps slice — a batch naming the same workload under many schemes
-	// materializes its trace once.
-	apps := map[string]*sharedApp{}
-	execs := make([]cellExec, len(b.Cells))
-	for i, c := range b.Cells {
-		sa, ok := apps[c.Workload]
-		if !ok {
-			sa = &sharedApp{}
-			apps[c.Workload] = sa
-		}
-		ce, err := s.resolveCell(CellSpec{
-			Workload: c.Workload,
-			Scheme:   c.Scheme,
-			Scale:    b.Scale,
-			Config:   b.Config,
-			Seed:     b.Seed,
-		}, sa)
+	sw, err := newSweep(b.Config, b.Scale, b.Seed)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	for _, c := range b.Cells {
+		sp, err := lookupWorkload(c.Workload)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		execs[i] = ce
+		sc, err := lookupScheme(c.Scheme)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		sw.addCell(sp, sc)
 	}
 
-	ctx := r.Context()
 	budget, err := deadlineBudget(r, 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	ctx, stop := context.WithCancel(r.Context())
+	defer stop()
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
@@ -89,40 +84,25 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	log := obs.Logger(ctx)
 
-	// Buffered to the batch size: a task's send never blocks, so an
-	// early-exiting response loop (failure, dead coordinator) cannot
-	// strand pool workers.
-	out := make(chan cellOutcome, len(b.Cells))
-	submitted := 0
-	for i := range execs {
-		i := i
-		task := func() {
-			defer func() {
-				if p := recover(); p != nil {
-					s.metrics.WorkerPanic()
-					log.Error("cell batch panic recovered",
-						"workload", execs[i].sp.Abbr,
-						"scheme", string(execs[i].sc),
-						"panic", fmt.Sprint(p),
-						"stack", string(debug.Stack()),
-					)
-					out <- cellOutcome{i: i, err: fmt.Errorf("simulating %s under %s: %v", execs[i].sp.Abbr, execs[i].sc, p)}
-				}
-			}()
-			if ctx.Err() != nil {
-				out <- cellOutcome{i: i, err: ctx.Err()}
-				return
-			}
-			done, err := s.executeCell(ctx, "", execs[i])
-			out <- cellOutcome{i: i, done: done, err: err}
-		}
-		if !s.pool.submit(task) {
-			// Shutting down: cells not yet submitted fail the batch; the
-			// coordinator re-homes them.
-			out <- cellOutcome{i: i, err: errClosed}
-		}
-		submitted++
-	}
+	// Buffered to the batch size: every cell sends at most one outcome,
+	// so a send never blocks, and an early-exiting response loop
+	// (failure, dead coordinator) cannot strand pool workers.
+	out := make(chan cellOutcome, len(sw.cells))
+	sw.log = log
+	sw.deliver = func(c *cell, done CellResult) { out <- cellOutcome{i: c.slot, done: done} }
+	sw.fail = func(err error) { out <- cellOutcome{err: err} }
+	fanned := make(chan struct{})
+	go func() {
+		defer close(fanned)
+		s.fanOut(ctx, sw, sw.cells)
+	}()
+	// The handler owns the fan-out: on every return it cancels the
+	// batch (queued cells skip, running ones stop at their next engine
+	// checkpoint) and waits for the fan-out to finish.
+	defer func() {
+		stop()
+		<-fanned
+	}()
 
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
@@ -140,7 +120,7 @@ func (s *Service) handleCells(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 	start := time.Now()
-	for n := 0; n < submitted; n++ {
+	for n := 0; n < len(sw.cells); n++ {
 		var o cellOutcome
 		select {
 		case o = <-out:

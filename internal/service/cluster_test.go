@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -258,12 +259,60 @@ func TestClusterAllPeersDownLocalFallback(t *testing.T) {
 	cl := cluster.New(cluster.Options{Peers: []string{deadURL}, DownCooldown: time.Minute})
 	coord := New(Config{Workers: 2, Cluster: cl})
 	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
 
 	req := SimulateRequest{Workloads: []string{"MT", "LU"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
 	j := runClusterSweep(t, coord, req)
 	checkAgainstTruth(t, j, singleNodeTruth(t, req))
 	if n := coord.Metrics().ClusterLocalCells(); n != int64(len(req.Workloads)*len(req.Schemes)) {
 		t.Errorf("local fallback ran %d cells, want all %d", n, len(req.Workloads)*len(req.Schemes))
+	}
+
+	// The fallback cells run through the same task wrapper as a plain
+	// local sweep, so they carry the same span tree: one cell span per
+	// grid slot with its queue wait and engine run, next to the failed
+	// peer_batch that stranded them.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jt struct {
+		Spans []*spanNodeJSON `json:"spans"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&jt)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := findSpan(jt.Spans, "job")
+	if root == nil {
+		t.Fatal("no root job span in the fallback sweep's trace")
+	}
+	cells := map[string]bool{}
+	failedBatches := 0
+	for _, n := range root.Children {
+		switch n.Name {
+		case "cell":
+			cells[n.Attrs["workload"]+"/"+n.Attrs["scheme"]] = true
+			if findSpan(n.Children, "queue_wait") == nil || findSpan(n.Children, "engine_run") == nil {
+				t.Errorf("fallback cell %s/%s lacks queue_wait or engine_run children", n.Attrs["workload"], n.Attrs["scheme"])
+			}
+		case "peer_batch":
+			if n.Attrs["error"] != "" {
+				failedBatches++
+			}
+		}
+	}
+	for _, w := range req.Workloads {
+		for _, sc := range req.Schemes {
+			if !cells[w+"/"+sc] {
+				t.Errorf("no cell span with workload=%s scheme=%s", w, sc)
+			}
+		}
+	}
+	if failedBatches == 0 {
+		t.Error("no peer_batch span carries the dead peer's error")
 	}
 
 	// Second sweep: the peer is now in cooldown, so dispatchCluster

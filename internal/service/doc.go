@@ -5,33 +5,37 @@
 // (cache.go, over internal/cache.Sharded), a bounded worker pool
 // executing simulation sweep jobs (jobs.go), a per-job event bus
 // streaming sweep progress (events.go), a two-tier simulation-result
-// cache that spills to disk (cache.go, over internal/cache.Tiered,
-// with legacy snapshot migration in snapshot.go), and a stdlib
-// net/http JSON API over all of it (http.go), with Prometheus-style
-// plain-text metrics (metrics.go).
+// cache that spills to disk (cache.go, over internal/cache.Tiered),
+// and a stdlib net/http JSON API over all of it (http.go), with
+// Prometheus-style plain-text metrics (metrics.go).
 //
-// # Cell-execution core vs dispatch
+// # Sweeps, cells and the single fan-out
 //
-// Sweep execution is split into a transport-agnostic core and
-// swappable dispatch layers. The core (dispatch.go) knows how to run
-// exactly one cell: resolveCell turns a CellSpec (workload, scheme,
-// scale, config, seed — the wire-friendly coordinates) into a bound
-// cellExec, and executeCell runs it through the two-tier cache,
-// the tracing spans and the panic fences, returning a CellResult. It
-// neither knows nor cares who asked. Above it sit two dispatchers
-// that only decide where each cell runs: dispatchLocal (dispatch.go)
-// fans cells out over the in-process worker pool (and runs them
-// inline in degraded mode), while dispatchCluster
-// (cluster_dispatch.go) shards them across peer valleyd workers by
-// rendezvous hashing over the cells' sim-cache keys, stealing from
-// slow or dead peers and falling back to the local pool for anything
-// the cluster cannot place. Both deliver finished cells through the
-// same callback into the job's dense-seq event log, so every
-// downstream contract — event ordering, aggregation, admission
-// accounting — is dispatcher-blind. The worker-facing half of the
-// wire protocol lives in cluster_http.go: POST /v1/cells accepts a
-// batch of CellSpecs and streams one NDJSON update per finished cell,
-// executed on the worker's own pool via the same core.
+// A sweep is one value (dispatch.go): the config, scale and seed its
+// cells share, its resolved cells, the job's span trace and the
+// deliver/fail sinks outcomes are routed into. Each cell carries its
+// grid slot, workload, scheme, the workload's shared trace slot and
+// its sim-cache key, computed once when the cell is resolved —
+// admission, rendezvous ranking and the cache lookup all read that
+// key. /v1/simulate (resolveSweep) and the worker-side /v1/cells batch
+// resolve config, scale and seed through the same newSweep.
+//
+// Every cell reaches the worker pool through one loop, fanOut, and
+// runs in one wrapper, cellTask, which owns the cancellation check,
+// queue-wait accounting, the cell span, panic recovery and outcome
+// routing; inside it executeCell runs the cell through the two-tier
+// cache and the pooled engine. Three callers share that path: a local
+// sweep fans out all its cells (inline on the dispatcher goroutine in
+// degraded mode); a coordinator's dispatchCluster
+// (cluster_dispatch.go) shards cells across peer valleyd workers by
+// rendezvous hashing over their keys, stealing from slow or dead
+// peers, and fans out locally whatever the cluster cannot place; and
+// POST /v1/cells (cluster_http.go) fans a coordinator's batch out on
+// the worker's own pool, streaming one NDJSON update per finished
+// cell. Remote and local cells reach the job through the same deliver
+// sink into its dense-seq event log, so every downstream contract —
+// event ordering, aggregation, admission accounting — is
+// dispatcher-blind.
 //
 // # Cluster mode
 //
@@ -133,9 +137,7 @@
 // counts the disk serves). Spill damage of any kind — failed writes,
 // torn files, corrupt entries — degrades to a recomputed miss, never
 // an error or corrupt bytes; see internal/cache's package docs for the
-// full two-tier contract. A legacy VSIMCSH1 snapshot file named by
-// Config.SimCacheSnapshot is loaded on New and migrated into the spill
-// directory once (snapshot.go).
+// full two-tier contract.
 //
 // # Fault injection
 //

@@ -70,15 +70,13 @@ type Metrics struct {
 	// Tiered sim-cache accounting: hits split by serving tier, and the
 	// spill tier's write-behind/janitor activity. spillErrors counts
 	// damage events (failed writes, corrupt or unreadable entries) that
-	// degraded to a miss; legacyMigrated counts VSIMCSH1 snapshot
-	// entries migrated into the spill dir at startup.
+	// degraded to a miss.
 	tierHitsMem     atomic.Int64
 	tierHitsDisk    atomic.Int64
 	spillWrites     atomic.Int64
 	spillWriteDrops atomic.Int64
 	spillEvictions  atomic.Int64
 	spillErrors     atomic.Int64
-	legacyMigrated  atomic.Int64
 
 	// Gauges are sampled at render time from the owning structures.
 	queueDepth   func() int
@@ -274,10 +272,6 @@ func (m *Metrics) SpillCounts() (writes, drops, evictions int64) {
 // SpillErrors returns spill damage events degraded to cache misses.
 func (m *Metrics) SpillErrors() int64 { return m.spillErrors.Load() }
 
-// LegacyMigrated returns VSIMCSH1 snapshot entries migrated into the
-// spill directory at startup.
-func (m *Metrics) LegacyMigrated() int64 { return m.legacyMigrated.Load() }
-
 // JobsCanceled returns jobs terminated by cancellation or deadline.
 func (m *Metrics) JobsCanceled() int64 { return m.jobsCanceled.Load() }
 
@@ -445,9 +439,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	add("# HELP valleyd_cache_spill_errors_total Spill damage events (failed writes, corrupt or unreadable entries) degraded to cache misses.\n")
 	add("# TYPE valleyd_cache_spill_errors_total counter\n")
 	add("valleyd_cache_spill_errors_total %d\n", m.spillErrors.Load())
-	add("# HELP valleyd_sim_cache_legacy_migrated_entries Legacy VSIMCSH1 snapshot entries migrated into the spill directory at startup.\n")
-	add("# TYPE valleyd_sim_cache_legacy_migrated_entries gauge\n")
-	add("valleyd_sim_cache_legacy_migrated_entries %d\n", m.legacyMigrated.Load())
 	if m.spillEntries != nil {
 		add("# HELP valleyd_cache_spill_entries Entry files resident in the spill directory.\n")
 		add("# TYPE valleyd_cache_spill_entries gauge\n")

@@ -87,12 +87,6 @@ type Config struct {
 	// lowest cost-per-byte entries to stay under it (0 = 1 GiB;
 	// negative = unbounded). Ignored without SpillDir.
 	SpillMaxBytes int64
-	// SimCacheSnapshot names a legacy VSIMCSH1 snapshot file from
-	// before the spill tier existed. With SpillDir set, the file is
-	// migrated into the spill directory once at startup (then renamed
-	// aside); without SpillDir it is load-only: read at startup, never
-	// written. The snapshot writer is retired.
-	SimCacheSnapshot string
 	// DefaultDeadline, when positive, bounds every sweep that does not
 	// carry its own ?deadline_ms / X-Deadline-Ms budget: the job is
 	// canceled with a deadline_exceeded terminal event when it overruns.
@@ -179,8 +173,7 @@ type Service struct {
 // New builds a service with its worker pool running. With
 // Config.SpillDir set, the simulation-result cache is two-tier: memory
 // over the spill directory, which is scanned (and any damaged entries
-// discarded) before serving. A legacy Config.SimCacheSnapshot file is
-// loaded — and, with a spill dir, migrated — at startup.
+// discarded) before serving.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
@@ -212,9 +205,6 @@ func New(cfg Config) *Service {
 		// The peer-up gauge samples the cluster client's cooldown
 		// table at scrape time, like every other gauge in WriteTo.
 		m.peerUp = cfg.Cluster.PeerStates
-	}
-	if cfg.SimCacheSnapshot != "" {
-		s.loadLegacySnapshot(spill != nil)
 	}
 	return s
 }
@@ -362,9 +352,9 @@ func (r ProfileRequest) options() (profileOptions, error) {
 		return o, badRequestf("line_bytes must be a power of two <= 1048576, got %d", r.LineBytes)
 	}
 	if r.Scheme != "" {
-		s, err := mapping.ParseScheme(r.Scheme)
+		s, err := lookupScheme(r.Scheme)
 		if err != nil {
-			return o, badRequestf("unknown scheme %q (want one of %v)", r.Scheme, mapping.Schemes())
+			return o, err
 		}
 		o.scheme = s
 		if o.seed == 0 {
@@ -410,9 +400,9 @@ func (s *Service) Profile(req ProfileRequest) (*ProfileResult, bool, error) {
 	case req.TraceFile != "":
 		return s.profileFile(req.TraceFile, opt)
 	case req.Workload != "":
-		spec, ok := workload.ByAbbr(req.Workload)
-		if !ok {
-			return nil, false, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
+		spec, err := lookupWorkload(req.Workload)
+		if err != nil {
+			return nil, false, err
 		}
 		scale, scaleName, err := parseScale(req.Scale)
 		if err != nil {
@@ -748,9 +738,9 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 	if len(req.Schemes) > 0 {
 		schemes = schemes[:0]
 		for _, name := range req.Schemes {
-			sc, err := mapping.ParseScheme(name)
+			sc, err := lookupScheme(name)
 			if err != nil {
-				return nil, badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+				return nil, err
 			}
 			if sc == mapping.BASE {
 				return nil, badRequestf("BASE is the identity mapping; it cannot be a candidate")
@@ -791,9 +781,9 @@ func (s *Service) Advise(req AdviseRequest) (*AdviseResult, error) {
 			return s.ProfileTrace(app, sum, r)
 		}
 	case req.Workload != "":
-		spec, ok := workload.ByAbbr(req.Workload)
-		if !ok {
-			return nil, notFoundf("unknown workload %q (want one of %v)", req.Workload, workload.Abbrs())
+		spec, err := lookupWorkload(req.Workload)
+		if err != nil {
+			return nil, err
 		}
 		scale, scaleName, err := parseScale(req.Scale)
 		if err != nil {
@@ -934,8 +924,7 @@ type SimulateResult struct {
 // seconds the original simulation took — the cell's recompute cost,
 // which drives cost-weighted eviction in both tiers and survives
 // spills. Sweep-relative fields (speedup, per-sweep wall time) are
-// recomputed per sweep. Fields are exported for the spill codec (and
-// the legacy snapshot decoder).
+// recomputed per sweep. Fields are exported for the spill codec.
 type simCell struct {
 	Res     experiments.ResultJSON `json:"result"`
 	Seconds float64                `json:"seconds"`
@@ -960,16 +949,18 @@ func parseSimConfig(name string) (gpusim.Config, string, error) {
 	}
 }
 
-func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.Scheme, gpusim.Config, string, workload.Scale, string, error) {
+// resolveSweep validates req's vocabularies and lays its grid out as a
+// sweep, every cell keyed, ready for admission and dispatch.
+func resolveSweep(req SimulateRequest) (*sweep, error) {
 	var specs []workload.Spec
 	switch {
 	case len(req.Workloads) > 0 && req.Set != "":
-		return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("give either workloads or set, not both")
+		return nil, badRequestf("give either workloads or set, not both")
 	case len(req.Workloads) > 0:
 		for _, abbr := range req.Workloads {
-			spec, ok := workload.ByAbbr(abbr)
-			if !ok {
-				return nil, nil, gpusim.Config{}, "", 0, "", notFoundf("unknown workload %q (want one of %v)", abbr, workload.Abbrs())
+			spec, err := lookupWorkload(abbr)
+			if err != nil {
+				return nil, err
 			}
 			specs = append(specs, spec)
 		}
@@ -982,9 +973,9 @@ func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.
 		case "all":
 			specs = workload.Catalog()
 		case "":
-			return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("request needs workloads or a set (valley, nonvalley, all)")
+			return nil, badRequestf("request needs workloads or a set (valley, nonvalley, all)")
 		default:
-			return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("unknown set %q (want valley, nonvalley or all)", req.Set)
+			return nil, badRequestf("unknown set %q (want valley, nonvalley or all)", req.Set)
 		}
 	}
 
@@ -992,23 +983,38 @@ func (s *Service) resolveSweep(req SimulateRequest) ([]workload.Spec, []mapping.
 	if len(req.Schemes) > 0 {
 		schemes = schemes[:0]
 		for _, name := range req.Schemes {
-			sc, err := mapping.ParseScheme(name)
+			sc, err := lookupScheme(name)
 			if err != nil {
-				return nil, nil, gpusim.Config{}, "", 0, "", badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
+				return nil, err
 			}
 			schemes = append(schemes, sc)
 		}
 	}
 
-	cfg, cfgName, err := parseSimConfig(req.Config)
+	sw, err := newSweep(req.Config, req.Scale, req.Seed)
 	if err != nil {
-		return nil, nil, gpusim.Config{}, "", 0, "", err
+		return nil, err
 	}
-	scale, scaleName, err := parseScale(req.Scale)
+	sw.addGrid(specs, schemes)
+	return sw, nil
+}
+
+// lookupWorkload resolves a Table II abbreviation (HTTP 404 when unknown).
+func lookupWorkload(abbr string) (workload.Spec, error) {
+	spec, ok := workload.ByAbbr(abbr)
+	if !ok {
+		return workload.Spec{}, notFoundf("unknown workload %q (want one of %v)", abbr, workload.Abbrs())
+	}
+	return spec, nil
+}
+
+// lookupScheme resolves a mapping scheme name (HTTP 400 when unknown).
+func lookupScheme(name string) (mapping.Scheme, error) {
+	sc, err := mapping.ParseScheme(name)
 	if err != nil {
-		return nil, nil, gpusim.Config{}, "", 0, "", err
+		return "", badRequestf("unknown scheme %q (want one of %v)", name, mapping.Schemes())
 	}
-	return specs, schemes, cfg, cfgName, scale, scaleName, nil
+	return sc, nil
 }
 
 // Simulate validates the sweep, enqueues it on the worker pool and
@@ -1037,13 +1043,9 @@ func spanCapFor(totalCells int) int {
 // queue wait, trace build, engine run and cache put — served afterwards
 // by GET /v1/jobs/{id}/trace and JobTrace.
 func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, error) {
-	specs, schemes, cfg, cfgName, scale, scaleName, err := s.resolveSweep(req)
+	sw, err := resolveSweep(req)
 	if err != nil {
 		return Job{}, err
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
 	}
 
 	// Admission gate: price the sweep (uncached cells behind the current
@@ -1058,20 +1060,14 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 		t := dl.UTC()
 		deadline = &t
 	}
-	keys := make([]string, 0, len(specs)*len(schemes))
-	for _, sp := range specs {
-		for _, sc := range schemes {
-			keys = append(keys, simCellKey(sp.Abbr, scaleName, sc, cfgName, seed))
-		}
-	}
-	degraded, err := s.admitSweep(deadline, len(keys), s.countCachedCells(keys), cfgName, scaleName)
+	sw.degraded, err = s.admitSweep(deadline, sw)
 	if err != nil {
 		return Job{}, err
 	}
 
 	// Register the dispatcher before creating the job, under closeMu:
 	// once Close has flipped closed, no new sweep can slip past its
-	// sweepWG.Wait, so the shutdown snapshot always sees every accepted
+	// sweepWG.Wait, so the shutdown spill always sees every accepted
 	// job in a terminal state.
 	s.closeMu.Lock()
 	if s.closed {
@@ -1085,17 +1081,17 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	if traceID == "" {
 		traceID = obs.NewTraceID()
 	}
-	total := len(specs) * len(schemes)
-	tr := obs.NewTrace(traceID, spanCapFor(total))
+	total := len(sw.cells)
+	sw.tr = obs.NewTrace(traceID, spanCapFor(total))
 	// The root span starts at the HTTP accept instant when the handler
 	// recorded one, so accept-to-enqueue time is visible in the tree.
-	root := tr.StartAt(0, "job", obs.AcceptTime(ctx),
+	sw.root = sw.tr.StartAt(0, "job", obs.AcceptTime(ctx),
 		obs.Attr{Key: "kind", Value: "simulate"},
-		obs.Attr{Key: "config", Value: cfgName},
-		obs.Attr{Key: "scale", Value: scaleName},
+		obs.Attr{Key: "config", Value: sw.cfgName},
+		obs.Attr{Key: "scale", Value: sw.scaleName},
 	)
-	enq := tr.Start(root.ID(), "enqueue")
-	job, err := s.jobs.create("simulate", total, tr)
+	enq := sw.tr.Start(sw.root.ID(), "enqueue")
+	job, err := s.jobs.create("simulate", total, sw.tr)
 	if err != nil {
 		s.sweepWG.Done()
 		return Job{}, overloadedError{msg: err.Error(), retryAfter: s.retryAfterHint()}
@@ -1103,6 +1099,8 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	enq.Annotate(obs.Attr{Key: "job_id", Value: job.ID})
 	enq.End()
 	s.metrics.jobsEnqueued.Add(1)
+	sw.jobID = job.ID
+	sw.log = s.log
 
 	// The job context outlives the request: values (trace ID, logger)
 	// carry over, the request's cancellation does not — a 202 job must
@@ -1118,19 +1116,6 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	}
 	s.jobs.arm(job.ID, cancelJob, deadline)
 
-	result := &SimulateResult{
-		Config: cfgName,
-		Scale:  scaleName,
-		Seed:   seed,
-		Cells:  make([]CellResult, total),
-	}
-	for _, sp := range specs {
-		result.Workloads = append(result.Workloads, sp.Abbr)
-	}
-	for _, sc := range schemes {
-		result.Schemes = append(result.Schemes, string(sc))
-	}
-
 	// The dispatcher goroutine owns the job lifecycle: it fans cells out
 	// over the pool (blocking on the bounded queue for backpressure),
 	// waits, aggregates and finishes the job. The HTTP handler returns
@@ -1139,7 +1124,7 @@ func (s *Service) SimulateCtx(ctx context.Context, req SimulateRequest) (Job, er
 	// the sweep finishes and is evicted under churn before we re-read,
 	// this creation-time copy is still a valid handle for the client.
 	created := *job
-	go s.runSweep(jobCtx, release, job.ID, specs, schemes, cfg, scale, seed, result, tr, root, degraded)
+	go s.runSweep(jobCtx, release, sw)
 	if snap, ok := s.jobs.get(job.ID); ok {
 		return snap, nil
 	}
@@ -1190,21 +1175,22 @@ func (sa *sharedApp) get(sp workload.Spec, scale workload.Scale) *trace.App {
 // cells, interrupts running engines at their checkpoint interval and
 // terminates the job with a canceled/deadline_exceeded event. release
 // frees the job context's resources when the sweep ends.
-func (s *Service) runSweep(ctx context.Context, release func(), jobID string, specs []workload.Spec, schemes []mapping.Scheme, cfg gpusim.Config, scale workload.Scale, seed int64, result *SimulateResult, tr *obs.Trace, root obs.SpanRef, degraded bool) {
+func (s *Service) runSweep(ctx context.Context, release func(), sw *sweep) {
 	defer s.sweepWG.Done()
 	defer release()
-	defer root.End()
+	defer sw.root.End()
 	start := time.Now()
+	jobID, result := sw.jobID, sw.result
 	s.jobs.setRunning(jobID)
-	if degraded {
+	if sw.degraded {
 		s.metrics.degradedSweeps.Add(1)
-		root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
+		sw.root.Annotate(obs.Attr{Key: "degraded", Value: "true"})
 	}
 	var (
 		errMu    sync.Mutex
 		firstErr error
 	)
-	fail := func(err error) {
+	sw.fail = func(err error) {
 		errMu.Lock()
 		if firstErr == nil {
 			firstErr = err
@@ -1214,24 +1200,23 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 	// deliver publishes each finished cell on the job's event stream
 	// the moment it lands (streaming clients see it before job
 	// completion) and files it into its dense grid slot. Cells
-	// never collide on a slot — each (wi, si) executes exactly once
+	// never collide on a slot — each cell executes exactly once
 	// per sweep, whichever dispatcher ran it — so the writes are safe
 	// without a lock.
-	deliver := func(wi, si int, done CellResult) {
-		result.Cells[wi*len(schemes)+si] = done
+	sw.deliver = func(c *cell, done CellResult) {
+		result.Cells[c.slot] = done
 		s.jobs.cellDone(jobID, done)
 	}
-	apps := make([]sharedApp, len(specs))
 	// Dispatch: cluster-sharded when a peer set is configured and at
 	// least one peer is reachable, local otherwise. Degraded sweeps
 	// (fully cached, pool saturated) always run locally — their value
 	// is answering from the local cache without queueing.
 	handled := false
-	if !degraded && s.cfg.Cluster != nil {
-		handled = s.dispatchCluster(ctx, jobID, specs, schemes, cfg, scale, seed, result, tr, root, apps, deliver, fail)
+	if !sw.degraded && s.cfg.Cluster != nil {
+		handled = s.dispatchCluster(ctx, sw)
 	}
 	if !handled {
-		s.dispatchLocal(ctx, jobID, specs, schemes, cfg, scale, seed, result, tr, root, apps, deliver, fail, degraded)
+		s.fanOut(ctx, sw, sw.cells)
 	}
 	elapsed := time.Since(start)
 	s.metrics.AddSweepSeconds(elapsed)
@@ -1242,7 +1227,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 		s.metrics.jobsCanceled.Add(1)
 		s.jobs.finish(jobID, nil, cause)
 		s.log.Info("sweep canceled",
-			"job_id", jobID, "trace_id", tr.ID(),
+			"job_id", jobID, "trace_id", sw.tr.ID(),
 			"done_cells", countDone(result), "duration_ms", elapsed.Milliseconds(),
 			"cause", cause)
 		return
@@ -1251,7 +1236,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 		s.metrics.jobsFailed.Add(1)
 		s.jobs.finish(jobID, nil, firstErr)
 		s.log.Warn("sweep failed",
-			"job_id", jobID, "trace_id", tr.ID(),
+			"job_id", jobID, "trace_id", sw.tr.ID(),
 			"duration_ms", elapsed.Milliseconds(), "error", firstErr)
 		return
 	}
@@ -1260,7 +1245,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), jobID string, sp
 	s.metrics.jobsDone.Add(1)
 	s.jobs.finish(jobID, result, nil)
 	s.log.Debug("sweep done",
-		"job_id", jobID, "trace_id", tr.ID(),
+		"job_id", jobID, "trace_id", sw.tr.ID(),
 		"cells", len(result.Cells), "duration_ms", elapsed.Milliseconds())
 }
 

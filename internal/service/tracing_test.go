@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"valleymap/internal/gpusim"
 	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
 	"valleymap/internal/trace"
@@ -223,10 +222,14 @@ func TestSweepCellPanicFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := &SimulateResult{Config: "baseline", Scale: "tiny", Seed: 1, Cells: make([]CellResult, 1)}
+	sw, err := newSweep("baseline", "tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.addGrid([]workload.Spec{boom}, []mapping.Scheme{mapping.BASE})
+	sw.jobID, sw.tr, sw.root, sw.log = job.ID, tr, root, svc.log
 	svc.sweepWG.Add(1)
-	svc.runSweep(context.Background(), func() {}, job.ID, []workload.Spec{boom}, []mapping.Scheme{mapping.BASE},
-		gpusim.Baseline(), workload.Tiny, 1, result, tr, root, false)
+	svc.runSweep(context.Background(), func() {}, sw)
 
 	j, ok := svc.Job(job.ID)
 	if !ok {

@@ -484,9 +484,10 @@ const (
 type ServiceJobTrace = service.JobTrace
 
 // NewService starts a service engine (its worker pool runs until Close).
-// With ServiceConfig.SimCacheSnapshot set, the simulation-result cache
-// persists across restarts (loaded on construction, saved periodically
-// and on Close).
+// With ServiceConfig.SpillDir set, the simulation-result cache persists
+// across restarts: evicted cells spill to per-entry files in that
+// directory, Close spills the resident set, and a new service over the
+// same directory serves those cells as cache hits.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
 // NewLogger builds a structured slog logger writing to w. format is
