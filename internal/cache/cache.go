@@ -1,9 +1,8 @@
 // Hardware cache models. This file implements the set-associative,
 // write-back, write-allocate caches of the simulated GPU (Table I):
 // the 16 KB 4-way per-SM L1 data caches and the eight 64 KB 8-way LLC
-// slices, plus the MSHR bookkeeping used to merge and bound
-// outstanding misses. The package doc (and the service-level tiered
-// result store) lives in doc.go.
+// slices. The package doc (and the service-level tiered result store)
+// lives in doc.go.
 package cache
 
 import (
@@ -144,8 +143,8 @@ type Result struct {
 // Access performs a load (write=false) or store (write=true) with
 // write-allocate semantics: on a miss the line is installed immediately.
 // The caller models the fill latency; the state change is immediate so a
-// subsequent access to the same line hits (the MSHR merge path is handled
-// by MSHRFile).
+// subsequent access to the same line hits (merging misses to a line
+// still in flight is the caller's job; gpu.SM does it).
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.tick++
 	c.stats.Accesses++
@@ -205,64 +204,3 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	}
 	return
 }
-
-// MSHRFile tracks outstanding misses by line address. A secondary miss to
-// a pending line merges instead of issuing a new downstream request; the
-// file refuses new primary misses once limit entries are outstanding
-// (a structural stall, as in the paper's 32-entry L1 MSHRs).
-type MSHRFile struct {
-	limit   int
-	pending map[uint64]int
-}
-
-// NewMSHRFile builds a file with the given entry limit (<=0 = unlimited).
-func NewMSHRFile(limit int) *MSHRFile {
-	return &MSHRFile{limit: limit, pending: make(map[uint64]int)}
-}
-
-// CanAccept reports whether a miss to line can be tracked now: either the
-// line is already pending (merge) or a free entry exists.
-func (m *MSHRFile) CanAccept(line uint64) bool {
-	if _, ok := m.pending[line]; ok {
-		return true
-	}
-	return m.limit <= 0 || len(m.pending) < m.limit
-}
-
-// Add records a miss; it returns true if this is the primary miss for the
-// line (the caller must then issue the downstream request). Add panics if
-// CanAccept would have returned false — callers must check first.
-func (m *MSHRFile) Add(line uint64) (primary bool) {
-	if n, ok := m.pending[line]; ok {
-		m.pending[line] = n + 1
-		return false
-	}
-	if m.limit > 0 && len(m.pending) >= m.limit {
-		panic("cache: MSHR overflow; call CanAccept first")
-	}
-	m.pending[line] = 1
-	return true
-}
-
-// Complete retires the line's entry, returning how many requests (primary
-// plus merged) were waiting on it.
-func (m *MSHRFile) Complete(line uint64) int {
-	n, ok := m.pending[line]
-	if !ok {
-		return 0
-	}
-	delete(m.pending, line)
-	return n
-}
-
-// Pending reports whether the line has an outstanding miss.
-func (m *MSHRFile) Pending(line uint64) bool {
-	_, ok := m.pending[line]
-	return ok
-}
-
-// Len returns the number of occupied entries.
-func (m *MSHRFile) Len() int { return len(m.pending) }
-
-// Full reports whether a new primary miss would be refused.
-func (m *MSHRFile) Full() bool { return m.limit > 0 && len(m.pending) >= m.limit }

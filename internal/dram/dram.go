@@ -13,7 +13,8 @@
 //
 // Requests recycle through a Pool and controllers schedule through the
 // engine's handler API with per-bank kick records, so steady-state
-// traffic does not allocate.
+// traffic does not allocate. Burst completions follow the data bus's
+// order and queue in one engine lane per channel.
 package dram
 
 import (
@@ -155,6 +156,7 @@ type Controller struct {
 	channel int
 	banks   []bank
 	bus     sim.Server
+	busQ    *sim.Lane // burst completions, in bus order
 	probe   ParallelismProbe
 	pool    *Pool // recycles pooled requests after completion; may be nil
 
@@ -165,7 +167,7 @@ type Controller struct {
 // NewController builds the controller for one channel.
 func NewController(eng *sim.Engine, cfg Config, channel int, probe ParallelismProbe) *Controller {
 	n := cfg.Layout.BanksPerChannel()
-	c := &Controller{eng: eng, cfg: cfg, channel: channel, probe: probe, banks: make([]bank, n)}
+	c := &Controller{eng: eng, cfg: cfg, channel: channel, probe: probe, banks: make([]bank, n), busQ: eng.NewLane()}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		// Far enough in the past that the first ACT is never tRC-gated.
@@ -316,7 +318,7 @@ func (c *Controller) service(bi int, now sim.Time) {
 		c.stats.Reads++
 	}
 	c.latency.Observe(t.Clock.ToCycles(busDone - r.arrive))
-	c.eng.AtCall(busDone, burstDoneH, r)
+	c.busQ.AtCall(busDone, burstDoneH, r)
 
 	// Keep draining the queue.
 	if len(b.queue) > 0 {

@@ -24,9 +24,9 @@ func run(t *testing.T, cfg Config, reqs []struct {
 	done := make(map[int]sim.Time)
 	for i, r := range reqs {
 		i, r := i, r
-		eng.At(r.at, func() {
+		eng.AtCall(r.at, func(any) {
 			c.Enqueue(&Request{Addr: r.addr, Write: r.write, Done: func(d sim.Time) { done[i] = d }})
-		})
+		}, nil)
 	}
 	eng.Run()
 	if len(done) != len(reqs) {
@@ -90,10 +90,10 @@ func chain(t *testing.T, cfg Config, n int, addrOf func(i int) uint64) (sim.Time
 		}
 		c.Enqueue(&Request{Addr: addrOf(i), Done: func(d sim.Time) {
 			last = d
-			eng.At(d, func() { issue(i + 1) })
+			eng.AtCall(d, func(any) { issue(i + 1) }, nil)
 		}})
 	}
-	eng.At(0, func() { issue(0) })
+	eng.AtCall(0, func(any) { issue(0) }, nil)
 	eng.Run()
 	return last, c
 }
@@ -154,9 +154,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	mk := func(name string, row int) *Request {
 		return &Request{Addr: addrFor(l, row, 0), Done: func(sim.Time) { order = append(order, name) }}
 	}
-	eng.At(0, func() { c.Enqueue(mk("A", 1)) })
-	eng.At(1, func() { c.Enqueue(mk("B", 2)) })
-	eng.At(2, func() { c.Enqueue(mk("C", 1)) })
+	eng.AtCall(0, func(any) { c.Enqueue(mk("A", 1)) }, nil)
+	eng.AtCall(1, func(any) { c.Enqueue(mk("B", 2)) }, nil)
+	eng.AtCall(2, func(any) { c.Enqueue(mk("C", 1)) }, nil)
 	eng.Run()
 	if len(order) != 3 || order[0] != "A" || order[1] != "C" || order[2] != "B" {
 		t.Errorf("service order = %v, want [A C B]", order)
@@ -219,7 +219,7 @@ func TestDataBusSerializesAcrossBanks(t *testing.T) {
 	open := func(bank int) {
 		c.Enqueue(&Request{Addr: addrFor(l, 1, bank), Done: func(d sim.Time) { times = append(times, d) }})
 	}
-	eng.At(0, func() { open(0); open(1) })
+	eng.AtCall(0, func(any) { open(0); open(1) }, nil)
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatal("requests lost")
@@ -315,9 +315,9 @@ func TestProbeBalancedProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			addr := uint64(rng.Intn(1<<30)) &^ 63
 			at := sim.Time(rng.Intn(100000))
-			eng.At(at, func() {
+			eng.AtCall(at, func(any) {
 				sys.Enqueue(&Request{Addr: addr, Write: rng.Intn(3) == 0, Done: func(sim.Time) { completed++ }})
-			})
+			}, nil)
 		}
 		eng.Run()
 		if completed != n {

@@ -6,7 +6,8 @@
 //
 // The SM schedules exclusively through the engine's handler API with
 // pooled warp, transaction and miss records, so its steady-state event
-// churn does not allocate (see internal/sim's package docs).
+// churn does not allocate; LSU grants queue in one engine lane per SM
+// (see internal/sim's package docs).
 package gpu
 
 import (
@@ -197,10 +198,14 @@ type SM struct {
 	eng    *sim.Engine
 	fabric Fabric
 
-	l1      *cache.Cache
-	mshr    *cache.MSHRFile
+	l1 *cache.Cache
+	// pending holds one entry per in-flight L1 miss: it is the MSHR
+	// file, bounded by cfg.MSHRs.
 	pending map[uint64]*pendingLine
 	lsu     sim.Server
+	// lsuQ carries LSU grants to their issue events; grant times never
+	// decrease, so they queue in one engine lane.
+	lsuQ *sim.Lane
 
 	// stalled holds read transactions refused by a full MSHR file, in
 	// arrival order (head-indexed ring so draining does not reallocate);
@@ -232,9 +237,15 @@ func New(eng *sim.Engine, id int, cfg Config, fabric Fabric) *SM {
 		eng:     eng,
 		fabric:  fabric,
 		l1:      cache.MustNew(cfg.L1),
-		mshr:    cache.NewMSHRFile(cfg.MSHRs),
 		pending: make(map[uint64]*pendingLine),
+		lsuQ:    eng.NewLane(),
 	}
+}
+
+// mshrFull reports whether a new primary miss must stall (MSHRs <= 0
+// means unlimited).
+func (s *SM) mshrFull() bool {
+	return s.cfg.MSHRs > 0 && len(s.pending) >= s.cfg.MSHRs
 }
 
 // Stats returns a copy of the SM's counters.
@@ -417,7 +428,7 @@ func (s *SM) advance(ws *warpState) {
 			ws.outstanding++
 			t.ws = ws
 		}
-		s.eng.AtCall(grant, txIssueH, t)
+		s.lsuQ.AtCall(grant, txIssueH, t)
 	}
 	// Retire the sentinel. If everything hit or the instruction was all
 	// stores, the warp proceeds after the issue cycles alone.
@@ -448,7 +459,6 @@ func (s *SM) read(addr uint64, ws *warpState) {
 
 	// A miss already in flight: merge regardless of tag-array state.
 	if p, ok := s.pending[line]; ok {
-		s.mshr.Add(line)
 		p.waiters = append(p.waiters, ws)
 		return
 	}
@@ -460,12 +470,11 @@ func (s *SM) read(addr uint64, ws *warpState) {
 	// Primary miss. Check MSHR capacity before touching the tag array:
 	// installing the line and then stalling would let the retry "hit"
 	// without ever fetching the data.
-	if s.mshr.Full() {
+	if s.mshrFull() {
 		s.stalled = append(s.stalled, stalledTx{addr: addr, since: now, ws: ws})
 		return
 	}
 	s.l1.Access(line, false) // allocate; write-through L1 victims are clean
-	s.mshr.Add(line)
 	p := s.getLine()
 	p.waiters = append(p.waiters, ws)
 	s.pending[line] = p
@@ -478,14 +487,13 @@ func (s *SM) read(addr uint64, ws *warpState) {
 func (s *SM) FillLine(line uint64, at sim.Time) {
 	p := s.pending[line]
 	delete(s.pending, line)
-	s.mshr.Complete(line)
 	if p != nil {
 		for _, ws := range p.waiters {
 			s.readDone(ws, at)
 		}
 		s.putLine(p)
 	}
-	for s.stalledHead < len(s.stalled) && !s.mshr.Full() {
+	for s.stalledHead < len(s.stalled) && !s.mshrFull() {
 		tx := s.stalled[s.stalledHead]
 		s.stalled[s.stalledHead] = stalledTx{}
 		s.stalledHead++

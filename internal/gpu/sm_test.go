@@ -17,7 +17,7 @@ type fakeFabric struct {
 
 func (f *fakeFabric) IssueRead(now sim.Time, sm int, addr uint64, sink ReadSink) {
 	f.reads = append(f.reads, addr)
-	f.eng.At(now+f.delay, func() { sink.FillLine(addr, f.eng.Now()) })
+	f.eng.AtCall(now+f.delay, func(any) { sink.FillLine(addr, f.eng.Now()) }, nil)
 }
 
 func (f *fakeFabric) IssueWrite(now sim.Time, sm int, addr uint64) {
@@ -191,6 +191,29 @@ func TestMSHRLimitStalls(t *testing.T) {
 	}
 	if sm.Stats().MSHRStallTime == 0 {
 		t.Error("expected MSHR stall time with 48 outstanding lines")
+	}
+}
+
+// TestMSHRUnlimited: MSHRs <= 0 lifts the limit, so the same 48 lines
+// never stall.
+func TestMSHRUnlimited(t *testing.T) {
+	eng := &sim.Engine{}
+	fab := &fakeFabric{eng: eng, delay: 10 * sim.Microsecond}
+	cfg := DefaultConfig()
+	cfg.MSHRs = 0
+	sm := New(eng, 0, cfg, fab)
+	tb := &trace.TB{ID: 0}
+	for t := 0; t < 48; t++ {
+		tb.Requests = append(tb.Requests, trace.Request{Addr: uint64(t) * 4096, Warp: int32(t / 32)})
+	}
+	completed := 0
+	sm.LaunchTB(BuildPrograms(tb, 2, 128, nil), 10, func(sim.Time) { completed++ })
+	eng.Run()
+	if completed != 1 || len(fab.reads) != 48 {
+		t.Fatalf("completed=%d reads=%d, want 1 and 48", completed, len(fab.reads))
+	}
+	if st := sm.Stats().MSHRStallTime; st != 0 {
+		t.Errorf("MSHR stall time %v with an unlimited MSHR file", st)
 	}
 }
 

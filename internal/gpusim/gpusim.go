@@ -7,8 +7,10 @@
 // The hot path is allocation-disciplined: every event schedules through
 // the engine's handler API with pooled per-request records, DRAM
 // requests recycle through a dram.Pool, and TB program buffers recycle
-// across launches. A Runner carries all of that state across sequential
-// runs, so sweeps reuse one engine and one set of pools per worker.
+// across launches. Crossbar arrivals and LLC port resolves queue in one
+// engine lane per port, keeping the event heap small. A Runner carries
+// all of that state across sequential runs, so sweeps reuse one engine
+// and one set of pools per worker.
 package gpusim
 
 import (
@@ -124,10 +126,12 @@ func (r Result) IPS() float64 {
 	return float64(r.Instructions) / s
 }
 
-// llcSlice is one LLC slice with its port.
+// llcSlice is one LLC slice with its port and the lane of the port's
+// lookup resolutions.
 type llcSlice struct {
-	c    *cache.Cache
-	port sim.Server
+	c     *cache.Cache
+	port  sim.Server
+	portQ *sim.Lane
 }
 
 // memReq is one in-flight memory transaction between an SM and the
@@ -155,6 +159,11 @@ type system struct {
 	slices []*llcSlice
 	dram   *dram.System
 	par    *metrics.MemParallelism
+	// toSliceQ and toSMQ hold packet arrivals per crossbar port: one
+	// port's arrivals are its server's completions plus the fixed router
+	// latency, so they never go back in time.
+	toSliceQ []*sim.Lane
+	toSMQ    []*sim.Lane
 
 	sliceShift uint
 	sliceMask  uint64
@@ -215,12 +224,13 @@ func readArriveH(arg any) {
 	sys := r.sys
 	sys.par.LLCDelta(sys.eng.Now(), int(r.slice), +1)
 	hit, resolve := sys.llcLookup(int(r.slice), r.addr, false)
+	q := sys.slices[r.slice].portQ
 	if hit {
-		sys.eng.AtCall(resolve, respondH, r)
+		q.AtCall(resolve, respondH, r)
 		return
 	}
 	// Fetch the line from DRAM, then respond.
-	sys.eng.AtCall(resolve, readMissH, r)
+	q.AtCall(resolve, readMissH, r)
 }
 
 // readMissH fires when a missing slice lookup resolves: the line is
@@ -258,7 +268,7 @@ func writeArriveH(arg any) {
 	sys := r.sys
 	sys.par.LLCDelta(sys.eng.Now(), int(r.slice), +1)
 	_, resolve := sys.llcLookup(int(r.slice), r.addr, true)
-	sys.eng.AtCall(resolve, writeRetireH, r)
+	sys.slices[r.slice].portQ.AtCall(resolve, writeRetireH, r)
 }
 
 // writeRetireH retires a store at the LLC.
@@ -274,14 +284,14 @@ func (sys *system) IssueRead(now sim.Time, sm int, addr uint64, sink gpu.ReadSin
 	r := sys.getReq()
 	r.sm, r.slice, r.addr, r.sink = int32(sm), int32(sys.sliceOf(addr)), addr, sink
 	arrive := sys.xbar.SendToSlice(now, int(r.slice), 8)
-	sys.eng.AtCall(arrive, readArriveH, r)
+	sys.toSliceQ[r.slice].AtCall(arrive, readArriveH, r)
 }
 
 // respond returns a 128 B data packet to the SM and retires the slice's
 // outstanding count.
 func (sys *system) respond(r *memReq) {
 	respAt := sys.xbar.SendToSM(sys.eng.Now(), int(r.sm), 128)
-	sys.eng.AtCall(respAt, respDoneH, r)
+	sys.toSMQ[r.sm].AtCall(respAt, respDoneH, r)
 }
 
 // IssueWrite implements gpu.Fabric: stores carry a line to the LLC
@@ -290,7 +300,7 @@ func (sys *system) IssueWrite(now sim.Time, sm int, addr uint64) {
 	r := sys.getReq()
 	r.sm, r.slice, r.addr = int32(sm), int32(sys.sliceOf(addr)), addr
 	arrive := sys.xbar.SendToSlice(now, int(r.slice), 8+128)
-	sys.eng.AtCall(arrive, writeArriveH, r)
+	sys.toSliceQ[r.slice].AtCall(arrive, writeArriveH, r)
 }
 
 // Runner owns the reusable simulation state: the event engine, the
@@ -325,6 +335,13 @@ const (
 // time.Now pairs per Run — noise next to any real simulation — and feed
 // valleyd's per-cell span attributes and stage histograms.
 func (r *Runner) SetStageObserver(f func(stage string, d time.Duration)) { r.onStage = f }
+
+// EngineStats returns the event engine's counters for the Runner's
+// most recent run: events fired, and the high-water marks of the event
+// heap and of all pending events (lane-queued ones included). They are
+// kept off Result so that cached results stay comparable across engine
+// changes.
+func (r *Runner) EngineStats() sim.Stats { return r.eng.Stats() }
 
 // NewRunner returns an empty Runner.
 func NewRunner() *Runner {
@@ -399,7 +416,11 @@ func (run *Runner) RunCtx(ctx context.Context, app *trace.App, mapper mapping.Ma
 	sys.sliceShift = uint(cfg.Layout.FieldBits(layout.Channel)[0])
 	sys.sliceMask = uint64(cfg.LLCSlices - 1)
 	for i := 0; i < cfg.LLCSlices; i++ {
-		sys.slices = append(sys.slices, &llcSlice{c: cache.MustNew(cfg.LLCSlice)})
+		sys.slices = append(sys.slices, &llcSlice{c: cache.MustNew(cfg.LLCSlice), portQ: eng.NewLane()})
+		sys.toSliceQ = append(sys.toSliceQ, eng.NewLane())
+	}
+	for i := 0; i < cfg.SMs; i++ {
+		sys.toSMQ = append(sys.toSMQ, eng.NewLane())
 	}
 	sms := make([]*gpu.SM, cfg.SMs)
 	for i := range sms {
@@ -503,41 +524,58 @@ func (run *Runner) runKernel(ctx context.Context, sms []*gpu.SM, k *trace.Kernel
 	if maxTBs < 1 {
 		maxTBs = 1
 	}
-	next := 0
-	lineBytes := cfg.SM.L1.LineBytes
-	var assign func(smIdx int)
-	assign = func(smIdx int) {
-		if next >= len(k.TBs) {
-			return
-		}
-		tb := &k.TBs[next]
-		next++
-		progs := gpu.BuildProgramsInto(run.getProgs(), &run.scratch, tb, k.WarpsPerTB, lineBytes, mapAddr)
-		// The one closure per TB launch below recycles the program
-		// buffer and refills the SM's slot; per-TB allocations are noise
-		// next to the TB's own request traffic.
-		sms[smIdx].LaunchTB(progs, k.ComputeGapCycles, func(sim.Time) {
-			run.putProgs(progs)
-			assign(smIdx)
-		})
-	}
-	// Initial dispatch is round-robin, one TB per SM per pass, exactly
-	// like the hardware TB scheduler: consecutive TB IDs land on
-	// different SMs, which is what makes the entropy window w ≈ #SMs
-	// (Section III-A). Each completion then refills its own SM's slot.
-	eng.At(eng.Now(), func() {
-		for pass := 0; pass < maxTBs && next < len(k.TBs); pass++ {
-			for i := range sms {
-				if sms[i].ActiveTBs() < maxTBs && next < len(k.TBs) {
-					assign(i)
-				}
-			}
-		}
-	})
+	kr := &kernelRun{run: run, sms: sms, k: k, maxTBs: maxTBs, lineBytes: cfg.SM.L1.LineBytes, mapAddr: mapAddr}
+	eng.AtCall(eng.Now(), dispatchH, kr)
 	for !eng.RunBounded(checkpointEvents) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// kernelRun is one kernel's TB dispatcher: the next TB to launch and
+// what building its warp programs needs.
+type kernelRun struct {
+	run       *Runner
+	sms       []*gpu.SM
+	k         *trace.Kernel
+	next      int
+	maxTBs    int
+	lineBytes int
+	mapAddr   func(uint64) uint64
+}
+
+// dispatchH is the kernel's initial dispatch: round-robin, one TB per
+// SM per pass, exactly like the hardware TB scheduler. Consecutive TB
+// IDs land on different SMs, which is what makes the entropy window
+// w ≈ #SMs (Section III-A). Each completion then refills its own SM's
+// slot.
+func dispatchH(arg any) {
+	kr := arg.(*kernelRun)
+	for pass := 0; pass < kr.maxTBs && kr.next < len(kr.k.TBs); pass++ {
+		for i, sm := range kr.sms {
+			if sm.ActiveTBs() < kr.maxTBs && kr.next < len(kr.k.TBs) {
+				kr.assign(i)
+			}
+		}
+	}
+}
+
+// assign launches the kernel's next TB, if any, on SM smIdx.
+func (kr *kernelRun) assign(smIdx int) {
+	if kr.next >= len(kr.k.TBs) {
+		return
+	}
+	tb := &kr.k.TBs[kr.next]
+	kr.next++
+	run := kr.run
+	progs := gpu.BuildProgramsInto(run.getProgs(), &run.scratch, tb, kr.k.WarpsPerTB, kr.lineBytes, kr.mapAddr)
+	// The one closure per TB launch below recycles the program buffer
+	// and refills the SM's slot; per-TB allocations are noise next to
+	// the TB's own request traffic.
+	kr.sms[smIdx].LaunchTB(progs, kr.k.ComputeGapCycles, func(sim.Time) {
+		run.putProgs(progs)
+		kr.assign(smIdx)
+	})
 }

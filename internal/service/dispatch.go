@@ -181,10 +181,14 @@ func (s *Service) executeCell(ctx context.Context, sw *sweep, c *cell, span obs.
 		// slot mid-cell within the checkpoint interval.
 		res, runErr := r.RunCtx(ctx, app, m, sw.cfg)
 		r.SetStageObserver(nil)
+		es := r.EngineStats()
 		eng.Annotate(
 			obs.Attr{Key: "setup_us", Value: strconv.FormatInt(setup.Microseconds(), 10)},
 			obs.Attr{Key: "kernels_us", Value: strconv.FormatInt(kernels.Microseconds(), 10)},
 			obs.Attr{Key: "collect_us", Value: strconv.FormatInt(collect.Microseconds(), 10)},
+			obs.Attr{Key: "events", Value: strconv.FormatUint(es.Events, 10)},
+			obs.Attr{Key: "heap_hw", Value: strconv.Itoa(es.HeapHighWater)},
+			obs.Attr{Key: "pending_hw", Value: strconv.Itoa(es.PendingHighWater)},
 		)
 		eng.End()
 		runnerPool.Put(r)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +118,13 @@ func TestJobTraceEndpoint(t *testing.T) {
 	eng := findSpan([]*spanNodeJSON{root}, "engine_run")
 	if eng != nil && eng.Attrs["kernels_us"] == "" {
 		t.Errorf("engine_run span lacks stage timings: %v", eng.Attrs)
+	}
+	if eng != nil {
+		for _, k := range []string{"events", "heap_hw", "pending_hw"} {
+			if n, err := strconv.ParseInt(eng.Attrs[k], 10, 64); err != nil || n <= 0 {
+				t.Errorf("engine_run span attr %s = %q, want a positive count", k, eng.Attrs[k])
+			}
+		}
 	}
 
 	// Every NDJSON event carries the job's trace_id.

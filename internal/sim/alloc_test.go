@@ -33,10 +33,10 @@ func TestHandlerScheduleZeroAlloc(t *testing.T) {
 func TestResetReproducesFreshEngine(t *testing.T) {
 	runOnce := func(e *Engine) []int {
 		var order []int
-		e.Schedule(30, func() { order = append(order, 3) })
-		e.Schedule(10, func() { order = append(order, 1) })
-		e.Schedule(20, func() { order = append(order, 2) })
-		e.Schedule(20, func() { order = append(order, 4) })
+		e.ScheduleCall(30, func(any) { order = append(order, 3) }, nil)
+		e.ScheduleCall(10, func(any) { order = append(order, 1) }, nil)
+		e.ScheduleCall(20, func(any) { order = append(order, 2) }, nil)
+		e.ScheduleCall(20, func(any) { order = append(order, 4) }, nil)
 		e.Run()
 		return order
 	}
@@ -62,7 +62,7 @@ func TestResetReproducesFreshEngine(t *testing.T) {
 func TestResetDropsPendingEvents(t *testing.T) {
 	var e Engine
 	fired := false
-	e.Schedule(10, func() { fired = true })
+	e.ScheduleCall(10, func(any) { fired = true }, nil)
 	e.Reset()
 	e.Run()
 	if fired {

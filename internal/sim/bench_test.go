@@ -48,23 +48,30 @@ func BenchmarkEngineFanout(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineClosure measures the legacy closure pattern — a fresh
-// capturing closure per event, which is what every pre-refactor call
-// site did — for comparison with the handler path (it allocates per
-// event by construction).
-func BenchmarkEngineClosure(b *testing.B) {
+// BenchmarkEngineLane is steady-state churn through a deep lane: 1024
+// events queued behind one head, each firing pushes one more at the
+// lane's tail. This is how a contended resource (an LSU, a NoC port, a
+// DRAM bus) drives the engine; chunks recycle through the engine's free
+// list, so it must not allocate.
+func BenchmarkEngineLane(b *testing.B) {
+	const depth = 1024
 	var e Engine
+	l := e.NewLane()
 	b.ReportAllocs()
-	b.ResetTimer()
 	n := 0
-	var step func(v int)
-	step = func(v int) {
+	tail := Time(0)
+	var step Handler
+	step = func(arg any) {
 		n++
-		if n < b.N {
-			next := v + 1
-			e.Schedule(1, func() { step(next) })
+		if n <= b.N {
+			tail++
+			l.AtCall(tail, step, nil)
 		}
 	}
-	e.Schedule(1, func() { step(0) })
+	for i := 0; i < depth; i++ {
+		tail++
+		l.AtCall(tail, step, nil)
+	}
+	b.ResetTimer()
 	e.Run()
 }

@@ -61,66 +61,73 @@ func (c Clock) ToCycles(t Time) float64 { return float64(t) / float64(c.Period) 
 // Handler is a pooled-event callback. Pairing a package-level function
 // (or any long-lived func value) with a pointer-shaped arg schedules
 // with zero allocation: both slot directly into the engine's recycled
-// event records. Closures still work — they just allocate at the
-// caller, which is exactly what the handler API exists to avoid on hot
-// paths.
+// event records.
 type Handler func(arg any)
 
-// eventRec is one slot in the engine's event slab. Records are recycled
-// through a free list, so steady-state scheduling never allocates.
-type eventRec struct {
-	at  Time
-	seq uint64
+// call is a scheduled callback. Direct events keep theirs in the
+// engine's slab, recycled through a free list, while their keys live
+// in the heap.
+type call struct {
 	h   Handler
 	arg any
 }
 
+// heapEnt is one 4-ary heap entry. The (at, seq) key sits inline so
+// sifts compare without touching the records; ref >= 0 is a slab index,
+// ref < 0 names lane ^ref, whose head event the entry stands for.
+type heapEnt struct {
+	at  Time
+	seq uint64
+	ref int32
+}
+
+// Stats are the engine's run counters, zeroed by Reset.
+type Stats struct {
+	// Events is the number of events fired.
+	Events uint64
+	// HeapHighWater is the largest number of heap entries at once.
+	HeapHighWater int
+	// PendingHighWater is the largest number of scheduled-but-unfired
+	// events at once, counting events queued behind lane heads.
+	PendingHighWater int
+}
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// Events live in a slab of recycled records indexed by a 4-ary min-heap
-// of slot numbers, ordered by (time, schedule sequence): events
-// scheduled for the same instant fire in scheduling order, which makes
-// simulations reproducible run to run — see doc.go for the full
-// determinism contract.
+// Events are ordered by (time, schedule sequence) in a 4-ary min-heap:
+// events scheduled for the same instant fire in scheduling order, which
+// makes simulations reproducible run to run — see doc.go for the full
+// determinism contract. Lanes (NewLane) hold monotone event streams
+// with only their head in the heap.
 type Engine struct {
-	now   Time
-	seq   uint64
-	fired uint64
-	slab  []eventRec
-	free  []int32 // recycled slab slots (LIFO)
-	heap  []int32 // slab indices ordered by (at, seq)
+	now     Time
+	seq     uint64
+	pending int
+	stats   Stats
+	slab    []call
+	free    []int32 // recycled slab slots (LIFO)
+	heap    []heapEnt
+
+	lanes     []*Lane // lanes[:nlanes] are live; the rest are pooled
+	nlanes    int
+	chunkFree *laneChunk // recycled lane chunks, linked through next
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events executed so far.
-func (e *Engine) Events() uint64 { return e.fired }
+func (e *Engine) Events() uint64 { return e.stats.Events }
 
-// Pending returns the number of scheduled-but-unfired events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of scheduled-but-unfired events, including
+// those queued in lanes behind their heads.
+func (e *Engine) Pending() int { return e.pending }
 
-// Schedule runs fn after delay. A negative delay panics: the engine cannot
-// rewrite history.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.At(e.now+delay, fn)
-}
+// Stats returns the engine's counters since the last Reset.
+func (e *Engine) Stats() Stats { return e.stats }
 
-// At runs fn at absolute time t (>= Now). The closure fn allocates at
-// the caller; hot paths should use AtCall with a pooled arg instead.
-func (e *Engine) At(t Time, fn func()) {
-	e.AtCall(t, callFunc, fn)
-}
-
-// callFunc adapts the closure API onto the handler path. Func values
-// are pointer-shaped, so boxing fn into arg does not allocate.
-func callFunc(arg any) { arg.(func())() }
-
-// ScheduleCall runs h(arg) after delay; the handler-style twin of
-// Schedule.
+// ScheduleCall runs h(arg) after delay. A negative delay panics: the
+// engine cannot rewrite history.
 func (e *Engine) ScheduleCall(delay Time, h Handler, arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -129,9 +136,8 @@ func (e *Engine) ScheduleCall(delay Time, h Handler, arg any) {
 }
 
 // AtCall runs h(arg) at absolute time t (>= Now). With a long-lived h
-// and a pooled arg this is the zero-allocation scheduling path: the
-// event record comes from the engine's free list and returns to it when
-// the event fires.
+// and a pooled arg nothing here allocates: the event record comes from
+// the engine's free list and returns to it when the event fires.
 func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
@@ -143,11 +149,18 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 		e.free = e.free[:n-1]
 	} else {
 		idx = int32(len(e.slab))
-		e.slab = append(e.slab, eventRec{})
+		e.slab = append(e.slab, call{})
 	}
-	r := &e.slab[idx]
-	r.at, r.seq, r.h, r.arg = t, e.seq, h, arg
-	e.push(idx)
+	e.slab[idx] = call{h, arg}
+	e.addPending()
+	e.push(heapEnt{at: t, seq: e.seq, ref: idx})
+}
+
+func (e *Engine) addPending() {
+	e.pending++
+	if e.pending > e.stats.PendingHighWater {
+		e.stats.PendingHighWater = e.pending
+	}
 }
 
 // Run executes events until the queue drains and returns the final time.
@@ -163,7 +176,7 @@ func (e *Engine) Run() Time {
 // min(deadline, last event time).
 func (e *Engine) RunUntil(deadline Time) bool {
 	for len(e.heap) > 0 {
-		if e.slab[e.heap[0]].at > deadline {
+		if e.heap[0].at > deadline {
 			e.now = deadline
 			return false
 		}
@@ -185,67 +198,90 @@ func (e *Engine) RunBounded(maxEvents int) bool {
 }
 
 // Reset returns the engine to time zero with an empty queue, keeping
-// the slab, free-list and heap capacity for reuse. Any still-pending
-// events are dropped. A Reset engine behaves exactly like a zero-value
-// Engine, so a reused engine reproduces a fresh engine's run bit for
-// bit (the determinism regression tests pin this).
+// the slab, free-list, heap and lane-chunk capacity for reuse. Any
+// still-pending events are dropped and every lane is released: lanes
+// from before the Reset must not be used after it. A Reset engine
+// behaves exactly like a zero-value Engine, so a reused engine
+// reproduces a fresh engine's run bit for bit (the determinism
+// regression tests pin this).
 func (e *Engine) Reset() {
-	for i := range e.slab {
-		e.slab[i].h, e.slab[i].arg = nil, nil
+	clear(e.slab)
+	for _, l := range e.lanes[:e.nlanes] {
+		l.release()
 	}
 	e.slab = e.slab[:0]
 	e.free = e.free[:0]
 	e.heap = e.heap[:0]
-	e.now, e.seq, e.fired = 0, 0, 0
+	e.nlanes = 0
+	e.now, e.seq, e.pending = 0, 0, 0
+	e.stats = Stats{}
 }
 
-// step fires the earliest event. The slot is recycled before the
-// handler runs so the handler's own scheduling can reuse it.
+// step fires the earliest event. A slab slot is recycled before the
+// handler runs so the handler's own scheduling can reuse it; a lane's
+// next event takes over the fired head's heap entry.
 func (e *Engine) step() {
-	idx := e.pop()
-	r := &e.slab[idx]
-	e.now = r.at
-	h, arg := r.h, r.arg
-	r.h, r.arg = nil, nil // drop references so pooled args can be collected
-	e.free = append(e.free, idx)
-	e.fired++
+	top := e.heap[0]
+	e.now = top.at
+	e.pending--
+	e.stats.Events++
+	var h Handler
+	var arg any
+	if top.ref >= 0 {
+		c := &e.slab[top.ref]
+		h, arg = c.h, c.arg
+		*c = call{} // drop references so pooled args can be collected
+		e.free = append(e.free, top.ref)
+		e.popTop()
+	} else {
+		h, arg = e.lanes[^top.ref].shift()
+	}
 	h(arg)
 }
 
-// less orders slab records by (time, schedule sequence).
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.slab[a], &e.slab[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
+// less orders heap entries by (time, schedule sequence).
+func (a *heapEnt) less(b *heapEnt) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ra.seq < rb.seq
+	return a.seq < b.seq
 }
 
-// push inserts a slab index into the 4-ary heap. A 4-ary layout halves
-// tree depth versus binary, and sift costs stay cheap because the
-// comparator only touches two slab records per level.
-func (e *Engine) push(idx int32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
+// push inserts an entry into the 4-ary heap. A 4-ary layout halves
+// tree depth versus binary, and the inline keys keep each comparison
+// inside the heap array.
+func (e *Engine) push(ent heapEnt) {
+	e.heap = append(e.heap, ent)
+	if len(e.heap) > e.stats.HeapHighWater {
+		e.stats.HeapHighWater = len(e.heap)
+	}
+	h := e.heap
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.less(e.heap[i], e.heap[p]) {
+		if !ent.less(&h[p]) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		h[i] = h[p]
 		i = p
+	}
+	h[i] = ent
+}
+
+// popTop removes the minimum entry.
+func (e *Engine) popTop() {
+	last := len(e.heap) - 1
+	ent := e.heap[last]
+	e.heap = e.heap[:last]
+	if last > 0 {
+		e.siftDown(ent)
 	}
 }
 
-// pop removes and returns the minimum slab index.
-func (e *Engine) pop() int32 {
+// siftDown places ent, which replaces the root, at its heap position.
+func (e *Engine) siftDown(ent heapEnt) {
 	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	h = e.heap
-	n := last
+	n := len(h)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -258,17 +294,17 @@ func (e *Engine) pop() int32 {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[best]) {
+			if h[c].less(&h[best]) {
 				best = c
 			}
 		}
-		if !e.less(h[best], h[i]) {
+		if !h[best].less(&ent) {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
 		i = best
 	}
-	return top
+	h[i] = ent
 }
 
 // Server models a single resource that serves one request at a time in

@@ -54,11 +54,11 @@ func TestClockFromMHz(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.ScheduleCall(30, func(any) { order = append(order, 3) }, nil)
+	e.ScheduleCall(10, func(any) { order = append(order, 1) }, nil)
+	e.ScheduleCall(20, func(any) { order = append(order, 2) }, nil)
 	// Same-time events fire in scheduling order.
-	e.Schedule(20, func() { order = append(order, 4) })
+	e.ScheduleCall(20, func(any) { order = append(order, 4) }, nil)
 	end := e.Run()
 	if end != 30 {
 		t.Errorf("end time = %v, want 30", end)
@@ -77,14 +77,14 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineCascade(t *testing.T) {
 	var e Engine
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse Handler
+	recurse = func(any) {
 		if depth < 100 {
 			depth++
-			e.Schedule(1, recurse)
+			e.ScheduleCall(1, recurse, nil)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleCall(0, recurse, nil)
 	end := e.Run()
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -98,7 +98,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var e Engine
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*10, func() { fired++ })
+		e.ScheduleCall(Time(i)*10, func(any) { fired++ }, nil)
 	}
 	if drained := e.RunUntil(45); drained {
 		t.Fatal("RunUntil(45) reported drained")
@@ -121,7 +121,7 @@ func TestEngineRunBounded(t *testing.T) {
 	var e Engine
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*10, func() { fired++ })
+		e.ScheduleCall(Time(i)*10, func(any) { fired++ }, nil)
 	}
 	if drained := e.RunBounded(4); drained {
 		t.Fatal("RunBounded(4) reported drained")
@@ -159,12 +159,12 @@ func TestEngineRunBoundedMatchesRun(t *testing.T) {
 	build := func(e *Engine, order *[]int) {
 		for i := 0; i < 50; i++ {
 			id := i
-			e.Schedule(Time(i%7)*3, func() {
+			e.ScheduleCall(Time(i%7)*3, func(any) {
 				*order = append(*order, id)
 				if id%5 == 0 {
-					e.Schedule(2, func() { *order = append(*order, 1000+id) })
+					e.ScheduleCall(2, func(any) { *order = append(*order, 1000+id) }, nil)
 				}
-			})
+			}, nil)
 		}
 	}
 	var a, b Engine
@@ -194,19 +194,19 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	var e Engine
-	e.Schedule(-1, func() {})
+	e.ScheduleCall(-1, func(any) {}, nil)
 }
 
 func TestEnginePastSchedulePanics(t *testing.T) {
 	var e Engine
-	e.Schedule(100, func() {
+	e.ScheduleCall(100, func(any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.AtCall(50, func(any) {}, nil)
+	}, nil)
 	e.Run()
 }
 
