@@ -1,18 +1,24 @@
 // Package obs is valleyd's stdlib-only observability core: structured
-// logging helpers over log/slog, lightweight span tracing, fixed-bucket
-// latency histograms with Prometheus text exposition, and runtime
-// gauges. Every service layer — HTTP handlers, the worker pool, the
-// sweep dispatcher, the streaming profile pipeline and the snapshot
-// writer — instruments through this package, so the daemon has one
-// consistent story for "what happened, when, and how long did it take".
+// logging helpers over log/slog, lightweight span tracing, and one
+// Prometheus text-exposition Registry over counters, sampled gauges,
+// fixed-bucket latency histograms and runtime gauges. Every service
+// layer — HTTP handlers, the worker pool, the sweep dispatcher, the
+// caches and the streaming profile pipeline — instruments through this
+// package, so the daemon has one consistent story for "what happened,
+// when, and how long did it take".
 //
 // # Overhead budget
 //
 // Instruments are designed to be safe on hot paths:
 //
+//   - Counter.Add is one atomic add and performs zero allocations;
+//     a CounterVec resolves its child (mutex + label rendering) once
+//     in With, so hot paths hold the child *Counter.
 //   - Histogram.Observe is lock-free (one atomic add per bucket walk
 //     plus a CAS for the sum) and performs zero allocations; the bucket
 //     walk is a linear scan over at most a few dozen boundaries.
+//   - GaugeFunc, CounterFunc and GaugeVecFunc cost nothing until a
+//     scrape calls their sampling func.
 //   - Span recording takes one short mutex hold per start/end and
 //     amortizes storage through a ring buffer; a trace never grows past
 //     its configured span capacity (older spans are overwritten and

@@ -63,6 +63,72 @@ func TestHistogramObserveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("child Observe allocates %v allocs/op, want 0", allocs)
 	}
+	c := NewCounter("alloc_test_total", "help")
+	allocs = testing.AllocsPerRun(1000, func() { c.Add(3) })
+	if allocs != 0 {
+		t.Fatalf("Counter.Add allocates %v allocs/op, want 0", allocs)
+	}
+	cc := NewCounterVec("alloc_vec_total", "help", "peer").With("w0")
+	allocs = testing.AllocsPerRun(1000, func() { cc.Add(1) })
+	if allocs != 0 {
+		t.Fatalf("CounterVec child Add allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSampleValueRendering: integral values render as integers at any
+// magnitude a count reaches, so a counter at a million reads 1000000,
+// not 1e+06; fractional values keep the shortest float form.
+func TestSampleValueRendering(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		want string
+	}{
+		{0, "c_total 0\n"},
+		{1, "c_total 1\n"},
+		{1_000_000, "c_total 1000000\n"},
+		{123_456_789_012, "c_total 123456789012\n"},
+	} {
+		c := NewCounter("c_total", "help")
+		c.Add(tc.n)
+		if got := string(c.writeProm(nil)); got != tc.want {
+			t.Errorf("counter at %d renders %q, want %q", tc.n, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{1e6, "g 1000000\n"},
+		{0.5, "g 0.5\n"},
+		{0.000851, "g 0.000851\n"},
+	} {
+		if got := string(sample(nil, "g", "", tc.v)); got != tc.want {
+			t.Errorf("sample(%g) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
+func TestCounterVecCreationOrder(t *testing.T) {
+	v := NewCounterVec("vec_total", "Cells per peer.", "peer")
+	v.With("http://b").Add(2)
+	v.With("http://a").Inc()
+	v.With("http://b").Inc()
+	want := "# HELP vec_total Cells per peer.\n" +
+		"# TYPE vec_total counter\n" +
+		`vec_total{peer="http://b"} 3` + "\n" +
+		`vec_total{peer="http://a"} 1` + "\n"
+	if got := string(v.Collect(nil)); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestGaugeVecFuncSortedLabels(t *testing.T) {
+	g := GaugeVecFunc{Name: "up", Help: "Peer health.", Label: "peer",
+		Fn: func() map[string]float64 { return map[string]float64{"b": 0, "a": 1} }}
+	want := "# HELP up Peer health.\n# TYPE up gauge\n" + `up{peer="a"} 1` + "\n" + `up{peer="b"} 0` + "\n"
+	if got := string(g.Collect(nil)); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {

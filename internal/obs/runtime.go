@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"strconv"
-)
+import "runtime"
 
 // RuntimeCollector samples Go runtime health at render time: live
 // goroutines, heap bytes, cumulative GC pause time and GC cycles. One
@@ -14,32 +11,18 @@ type RuntimeCollector struct {
 	Prefix string
 }
 
-func (rc RuntimeCollector) family(b []byte, name, typ, help string, v float64) []byte {
-	full := rc.Prefix + name
-	b = append(b, "# HELP "...)
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = append(b, help...)
-	b = append(b, "\n# TYPE "...)
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = append(b, typ...)
-	b = append(b, '\n')
-	b = append(b, full...)
-	b = append(b, ' ')
-	b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	b = append(b, '\n')
-	return b
-}
-
 // Collect implements Collector.
 func (rc RuntimeCollector) Collect(b []byte) []byte {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	b = rc.family(b, "_goroutines", "gauge", "Live goroutines.", float64(runtime.NumGoroutine()))
-	b = rc.family(b, "_heap_alloc_bytes", "gauge", "Heap bytes allocated and in use.", float64(ms.HeapAlloc))
-	b = rc.family(b, "_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.", float64(ms.HeapSys))
-	b = rc.family(b, "_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.", float64(ms.PauseTotalNs)/1e9)
-	b = rc.family(b, "_gc_cycles_total", "counter", "Completed GC cycles.", float64(ms.NumGC))
+	family := func(name, typ, help string, v float64) {
+		name = rc.Prefix + name
+		b = sample(header(b, name, typ, help), name, "", v)
+	}
+	family("_goroutines", "gauge", "Live goroutines.", float64(runtime.NumGoroutine()))
+	family("_heap_alloc_bytes", "gauge", "Heap bytes allocated and in use.", float64(ms.HeapAlloc))
+	family("_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.", float64(ms.HeapSys))
+	family("_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.", float64(ms.PauseTotalNs)/1e9)
+	family("_gc_cycles_total", "counter", "Completed GC cycles.", float64(ms.NumGC))
 	return b
 }

@@ -20,10 +20,10 @@ type profileCache = cache.Sharded[*ProfileResult]
 func newProfileCache(capacity int, m *Metrics) *profileCache {
 	c := cache.NewSharded(cache.ShardedOptions[*ProfileResult]{
 		Capacity: capacity,
-		OnHit:    m.CacheHit,
-		OnMiss:   m.CacheMiss,
+		OnHit:    m.profileHits.Inc,
+		OnMiss:   m.profileMisses.Inc,
 	})
-	m.cacheLen = c.Len
+	addGauge(m, "valleyd_profile_cache_entries", "Resident profile-cache entries.", c.Len)
 	return c
 }
 
@@ -64,24 +64,24 @@ func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 			return cache.Weight{Cost: c.Seconds, Bytes: simCellBytes}
 		},
 		OnHit: func(t cache.Tier) {
-			m.SimCacheHit()
+			m.simHits.Inc()
 			if t == cache.TierDisk {
-				m.tierHitsDisk.Add(1)
+				m.tierDisk.Inc()
 			} else {
-				m.tierHitsMem.Add(1)
+				m.tierMem.Inc()
 			}
 		},
-		OnMiss: m.SimCacheMiss,
+		OnMiss: m.simMisses.Inc,
 	})
 	if err != nil {
 		// Encode/Decode are set above; the only error is a programming
 		// mistake, not a runtime condition.
 		panic(err)
 	}
-	m.simCacheLen = c.MemLen
+	addGauge(m, "valleyd_sim_cache_entries", "Resident simulation-result cache entries.", c.MemLen)
 	if disk != nil {
-		m.spillEntries = disk.Len
-		m.spillBytes = disk.Bytes
+		addGauge(m, "valleyd_cache_spill_entries", "Entry files resident in the spill directory.", disk.Len)
+		addGauge(m, "valleyd_cache_spill_bytes", "Bytes resident in the spill directory.", disk.Bytes)
 	}
 	return c
 }
@@ -92,9 +92,9 @@ func newSpillStore(dir string, maxBytes int64, m *Metrics) (*cache.DiskStore, er
 	return cache.OpenDisk(cache.DiskOptions{
 		Dir:         dir,
 		MaxBytes:    maxBytes,
-		OnWrite:     func() { m.spillWrites.Add(1) },
-		OnWriteDrop: func() { m.spillWriteDrops.Add(1) },
-		OnEvict:     func() { m.spillEvictions.Add(1) },
-		OnError:     func() { m.spillErrors.Add(1) },
+		OnWrite:     m.spillWrites.Inc,
+		OnWriteDrop: m.spillWriteDrops.Inc,
+		OnEvict:     m.spillEvictions.Inc,
+		OnError:     m.spillErrors.Inc,
 	})
 }

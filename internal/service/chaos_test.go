@@ -328,7 +328,8 @@ func TestChaosClusterWorkerDeath(t *testing.T) {
 
 	// Non-vacuity: the dead worker's outstanding cells went somewhere —
 	// stolen onto the surviving peer or run in the local fallback.
-	if coord.Metrics().ClusterSteals() == 0 && coord.Metrics().ClusterLocalCells() == 0 {
+	series := scrape(t, coord.Metrics())
+	if series["valleyd_cluster_steals_total"] == 0 && series["valleyd_cluster_local_cells_total"] == 0 {
 		t.Error("worker death produced neither steals nor local fallback — the kill landed after its batch finished")
 	}
 	if fault.Fired(fault.WorkerDelay) == 0 {
@@ -416,8 +417,8 @@ func TestChaosSpillResilience(t *testing.T) {
 	// never a lost shutdown.
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
 	s1.Close()
-	if got := s1.Metrics().SpillErrors(); got < 2 {
-		t.Errorf("SpillErrors = %d after an all-writes-fail shutdown, want >= 2", got)
+	if got := scrape(t, s1.Metrics())["valleyd_cache_spill_errors_total"]; got < 2 {
+		t.Errorf("spill errors = %g after an all-writes-fail shutdown, want >= 2", got)
 	}
 	if fault.Fired(fault.SpillWrite) == 0 {
 		t.Fatal("SpillWrite fault point never fired — the seam is dead")
@@ -451,8 +452,8 @@ func TestChaosSpillResilience(t *testing.T) {
 	if n := s3.simCache.DiskLen(); n != 0 {
 		t.Errorf("torn spill dir loaded %d entries, want a cold start", n)
 	}
-	if got := s3.Metrics().SpillErrors(); got < 2 {
-		t.Errorf("SpillErrors = %d after scanning torn entries, want >= 2", got)
+	if got := scrape(t, s3.Metrics())["valleyd_cache_spill_errors_total"]; got < 2 {
+		t.Errorf("spill errors = %g after scanning torn entries, want >= 2", got)
 	}
 	job3, err := s3.Simulate(req)
 	if err != nil {

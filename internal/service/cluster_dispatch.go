@@ -67,7 +67,7 @@ func (s *Service) dispatchCluster(ctx context.Context, sw *sweep) bool {
 			}
 			if len(c.tried) > 0 {
 				// Re-dispatch after a failure elsewhere: a steal.
-				s.metrics.ClusterSteal()
+				s.metrics.clusterSteals.Inc()
 			}
 			batches[peer] = append(batches[peer], c)
 		}
@@ -78,7 +78,7 @@ func (s *Service) dispatchCluster(ctx context.Context, sw *sweep) bool {
 			failed   []*cell
 		)
 		for peer, cells := range batches {
-			s.metrics.ClusterDispatched(peer, len(cells))
+			s.metrics.clusterDispatched.With(peer).Add(int64(len(cells)))
 			wg.Add(1)
 			go func(peer string, cells []*cell) {
 				defer wg.Done()
@@ -100,9 +100,9 @@ func (s *Service) dispatchCluster(ctx context.Context, sw *sweep) bool {
 	if len(pending) > 0 && ctx.Err() == nil {
 		for _, c := range pending {
 			if len(c.tried) > 0 {
-				s.metrics.ClusterSteal()
+				s.metrics.clusterSteals.Inc()
 			}
-			s.metrics.ClusterLocalCell()
+			s.metrics.clusterLocalCells.Inc()
 		}
 		s.fanOut(ctx, sw, pending)
 	}

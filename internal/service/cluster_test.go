@@ -80,6 +80,18 @@ func newCoordinator(t *testing.T, peers []string) *Service {
 	return svc
 }
 
+// peerDispatches returns the per-peer dispatched-cell counts from a
+// scrape, keyed by peer URL.
+func peerDispatches(series map[string]float64) map[string]float64 {
+	out := map[string]float64{}
+	for k, v := range series {
+		if peer, ok := strings.CutPrefix(k, `valleyd_cluster_cells_dispatched_total{peer="`); ok {
+			out[strings.TrimSuffix(peer, `"}`)] = v
+		}
+	}
+	return out
+}
+
 // runClusterSweep runs req through the coordinator to a terminal state
 // and returns the finished job (failing the test on a non-done end).
 func runClusterSweep(t *testing.T, coord *Service, req SimulateRequest) Job {
@@ -156,12 +168,13 @@ func TestClusterShardedSweep(t *testing.T) {
 	j := runClusterSweep(t, coord, clusterSweep)
 	checkAgainstTruth(t, j, singleNodeTruth(t, clusterSweep))
 
-	disp := coord.Metrics().ClusterDispatches()
+	series := scrape(t, coord.Metrics())
+	disp := peerDispatches(series)
 	if len(disp) < 2 || disp[u1] == 0 || disp[u2] == 0 {
 		t.Errorf("dispatches did not use both peers: %v", disp)
 	}
-	if n := coord.Metrics().ClusterLocalCells(); n != 0 {
-		t.Errorf("%d cells fell back to local execution with both peers healthy", n)
+	if n := series["valleyd_cluster_local_cells_total"]; n != 0 {
+		t.Errorf("%g cells fell back to local execution with both peers healthy", n)
 	}
 
 	// Repeat: every cell must come back cached from its owning worker.
@@ -210,7 +223,7 @@ func TestClusterRestartWarmAffinity(t *testing.T) {
 			t.Errorf("post-restart cell %s/%s re-simulated instead of loading from its owner's spill tier", c.Workload, c.Scheme)
 		}
 	}
-	disp := coordB.Metrics().ClusterDispatches()
+	disp := peerDispatches(scrape(t, coordB.Metrics()))
 	if len(disp) < 2 || disp[u1] == 0 || disp[u2] == 0 {
 		t.Errorf("post-restart dispatches did not use both peers: %v", disp)
 	}
@@ -236,7 +249,7 @@ func TestClusterDeadPeerSteal(t *testing.T) {
 
 	j := runClusterSweep(t, coord, clusterSweep)
 	checkAgainstTruth(t, j, singleNodeTruth(t, clusterSweep))
-	if n := coord.Metrics().ClusterSteals(); n == 0 {
+	if n := scrape(t, coord.Metrics())["valleyd_cluster_steals_total"]; n == 0 {
 		t.Error("no steals recorded though one peer was dead")
 	}
 	if states := cl.PeerStates(); states[deadURL] {
@@ -265,8 +278,8 @@ func TestClusterAllPeersDownLocalFallback(t *testing.T) {
 	req := SimulateRequest{Workloads: []string{"MT", "LU"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
 	j := runClusterSweep(t, coord, req)
 	checkAgainstTruth(t, j, singleNodeTruth(t, req))
-	if n := coord.Metrics().ClusterLocalCells(); n != int64(len(req.Workloads)*len(req.Schemes)) {
-		t.Errorf("local fallback ran %d cells, want all %d", n, len(req.Workloads)*len(req.Schemes))
+	if n := scrape(t, coord.Metrics())["valleyd_cluster_local_cells_total"]; n != float64(len(req.Workloads)*len(req.Schemes)) {
+		t.Errorf("local fallback ran %g cells, want all %d", n, len(req.Workloads)*len(req.Schemes))
 	}
 
 	// The fallback cells run through the same task wrapper as a plain

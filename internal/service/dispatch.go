@@ -262,7 +262,7 @@ func isContextErr(err error) bool {
 // from its panic site. Job cells name their job and trace; a worker
 // batch's request logger already carries the coordinator's trace_id.
 func (s *Service) logCellPanic(sw *sweep, c *cell, v any, stack []byte) {
-	s.metrics.WorkerPanic()
+	s.metrics.workerPanics.Inc()
 	log := sw.log
 	if sw.tr != nil {
 		log = log.With("job_id", sw.jobID, "trace_id", sw.tr.ID())

@@ -7,7 +7,8 @@
 // streaming sweep progress (events.go), a two-tier simulation-result
 // cache that spills to disk (cache.go, over internal/cache.Tiered),
 // and a stdlib net/http JSON API over all of it (http.go), with
-// Prometheus-style plain-text metrics (metrics.go).
+// Prometheus plain-text metrics rendered, all of /metrics, from one
+// obs.Registry (metrics.go).
 //
 // # Sweeps, cells and the single fan-out
 //
@@ -161,8 +162,9 @@
 // by GET /v1/jobs/{id}/trace and correlated with the job's NDJSON
 // events through the shared trace_id. Queue wait, per-cell simulation
 // seconds and the streaming pipeline's per-stage times feed lock-free
-// histograms rendered into /metrics by the obs.Registry hook in
-// metrics.go (tracing.go holds the trace endpoint). Panics anywhere in
+// histograms; they, every counter and every sampled gauge render into
+// /metrics from the one obs.Registry in metrics.go (tracing.go holds
+// the trace endpoint). Panics anywhere in
 // a sweep — worker task, cell, or inside the cache's compute closure
 // (surfaced as a cache.PanicError) — are recovered, logged with their
 // stack, counted in valleyd_worker_panics_total, and fail only the

@@ -362,7 +362,7 @@ func TestStreamingDeliveryIsLive(t *testing.T) {
 func TestEventBusSlowConsumerAccounting(t *testing.T) {
 	m := NewMetrics()
 	js := newJobStore(8)
-	js.onDrop = m.StreamEventDropped
+	js.onDrop = m.streamEventsDropped.Inc
 	j, err := js.create("simulate", 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -381,12 +381,13 @@ func TestEventBusSlowConsumerAccounting(t *testing.T) {
 	}
 	js.finish(j.ID, &SimulateResult{}, nil)
 
-	if got := m.StreamEventsDropped(); got == 0 {
+	dropped := scrape(t, m)["valleyd_stream_events_dropped_total"]
+	if dropped == 0 {
 		t.Error("slow consumer produced no drop accounting")
 	}
 	bus, _ := js.busFor(j.ID)
-	if bus.dropped.Load() != m.StreamEventsDropped() {
-		t.Errorf("bus counted %d drops, metric %d", bus.dropped.Load(), m.StreamEventsDropped())
+	if float64(bus.dropped.Load()) != dropped {
+		t.Errorf("bus counted %d drops, metric %g", bus.dropped.Load(), dropped)
 	}
 
 	// Despite the drops, the subscriber reads every event exactly once.

@@ -155,7 +155,6 @@ func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(ctx))
 		d := time.Since(start)
-		s.metrics.ObserveRequest(path, rec.code)
 		s.metrics.ObserveRequestLatency(path, rec.code, d)
 		log.Debug("request",
 			"method", r.Method,

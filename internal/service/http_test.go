@@ -345,10 +345,9 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	body, _ := io.ReadAll(mr.Body)
 	text := string(body)
 	for _, want := range []string{
-		"valleyd_requests_total{path=\"/v1/profile\",code=\"200\"} 2",
+		"valleyd_http_request_duration_seconds_count{path=\"/v1/profile\",code=\"200\"} 2",
 		"valleyd_profile_cache_hits_total 1",
 		"valleyd_profile_cache_misses_total 1",
-		"valleyd_profile_cache_hit_rate 0.5",
 		"valleyd_workers ",
 		"valleyd_queue_depth ",
 	} {

@@ -309,9 +309,11 @@ func newPool(workers, queue int, m *Metrics, log *slog.Logger) *pool {
 		log = slog.Default()
 	}
 	p := &pool{tasks: make(chan func(), queue), metrics: m, log: log}
-	m.workers = workers
-	m.queueDepth = func() int { return len(p.tasks) }
-	m.workersBusy = func() int { return int(p.busy.Load()) }
+	busy := func() int64 { return p.busy.Load() }
+	addGauge(m, "valleyd_queue_depth", "Tasks waiting in the worker-pool queue.", func() int { return len(p.tasks) })
+	addGauge(m, "valleyd_workers", "Configured worker-pool size.", func() int { return workers })
+	addGauge(m, "valleyd_workers_busy", "Workers currently executing a task.", busy)
+	addGauge(m, "valleyd_worker_utilization", "Busy workers over pool size.", func() float64 { return float64(busy()) / float64(workers) })
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -333,7 +335,7 @@ func newPool(workers, queue int, m *Metrics, log *slog.Logger) *pool {
 func (p *pool) run(f func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.metrics.WorkerPanic()
+			p.metrics.workerPanics.Inc()
 			p.log.Error("worker panic recovered",
 				"panic", fmt.Sprint(r),
 				"stack", string(debug.Stack()),

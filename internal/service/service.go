@@ -200,11 +200,24 @@ func New(cfg Config) *Service {
 		streamSem:  make(chan struct{}, 4*cfg.Workers),
 		start:      time.Now(),
 	}
-	s.jobs.onDrop = m.StreamEventDropped
+	s.jobs.onDrop = m.streamEventsDropped.Inc
 	if cfg.Cluster != nil {
 		// The peer-up gauge samples the cluster client's cooldown
-		// table at scrape time, like every other gauge in WriteTo.
-		m.peerUp = cfg.Cluster.PeerStates
+		// table at scrape time, like every other gauge.
+		m.reg.Register(obs.GaugeVecFunc{
+			Name: "valleyd_cluster_peer_up", Label: "peer",
+			Help: "Peer health by configured worker (1 = reachable, 0 = in its down cooldown).",
+			Fn: func() map[string]float64 {
+				up := map[string]float64{}
+				for p, ok := range cfg.Cluster.PeerStates() {
+					up[p] = 0
+					if ok {
+						up[p] = 1
+					}
+				}
+				return up
+			},
+		})
 	}
 	return s
 }
@@ -1219,7 +1232,7 @@ func (s *Service) runSweep(ctx context.Context, release func(), sw *sweep) {
 		s.fanOut(ctx, sw, sw.cells)
 	}
 	elapsed := time.Since(start)
-	s.metrics.AddSweepSeconds(elapsed)
+	s.metrics.sweepMicros.Add(elapsed.Microseconds())
 	if cause := context.Cause(ctx); cause != nil {
 		// Cancellation outranks any cell error it induced: a canceled
 		// sweep's cells fail with context errors, but the job's terminal

@@ -467,8 +467,9 @@ func TestSimulateResultCache(t *testing.T) {
 	}
 
 	first := sweep()
-	if hits, misses := s.Metrics().SimCacheCounts(); hits != 0 || misses != 4 {
-		t.Fatalf("after cold sweep hits=%d misses=%d, want 0/4", hits, misses)
+	series := scrape(t, s.Metrics())
+	if hits, misses := series["valleyd_sim_cells_cache_hits_total"], series["valleyd_sim_cells_cache_misses_total"]; hits != 0 || misses != 4 {
+		t.Fatalf("after cold sweep hits=%g misses=%g, want 0/4", hits, misses)
 	}
 	if first.Seconds <= 0 {
 		t.Error("cold sweep recorded no duration")
@@ -483,8 +484,9 @@ func TestSimulateResultCache(t *testing.T) {
 	}
 
 	second := sweep()
-	if hits, _ := s.Metrics().SimCacheCounts(); hits != 4 {
-		t.Fatalf("after warm sweep hits=%d, want 4", hits)
+	series = scrape(t, s.Metrics())
+	if hits := series["valleyd_sim_cells_cache_hits_total"]; hits != 4 {
+		t.Fatalf("after warm sweep hits=%g, want 4", hits)
 	}
 	for i, c := range second.Cells {
 		if !c.Cached {
@@ -497,11 +499,11 @@ func TestSimulateResultCache(t *testing.T) {
 	if second.HMeanSpeedup["PAE"] != first.HMeanSpeedup["PAE"] {
 		t.Error("cached sweep changed aggregate speedups")
 	}
-	if s.Metrics().SweepSeconds() <= 0 {
+	if series["valleyd_sweep_seconds_total"] <= 0 {
 		t.Error("sweep_seconds metric not accumulated")
 	}
-	if got := s.Metrics().cellsSimulated.Load(); got != 4 {
-		t.Errorf("cells simulated = %d, want 4 (cache hits must not re-simulate)", got)
+	if got := series["valleyd_sim_cells_total"]; got != 4 {
+		t.Errorf("cells simulated = %g, want 4 (cache hits must not re-simulate)", got)
 	}
 }
 

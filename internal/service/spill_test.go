@@ -37,8 +37,8 @@ func TestSpillRestartWarm(t *testing.T) {
 		}
 	}
 	s1.Close() // spills the resident tail and drains the write-behind queue
-	if writes, _, _ := s1.Metrics().SpillCounts(); writes < 4 {
-		t.Fatalf("spilled %d entries across eviction + Close, want >= 4", writes)
+	if writes := scrape(t, s1.Metrics())["valleyd_cache_spill_writes_total"]; writes < 4 {
+		t.Fatalf("spilled %g entries across eviction + Close, want >= 4", writes)
 	}
 
 	// "Restart": a brand-new service over the same spill directory,
@@ -58,10 +58,11 @@ func TestSpillRestartWarm(t *testing.T) {
 			t.Errorf("cell %s/%s metrics drifted across the restart", c.Workload, c.Scheme)
 		}
 	}
-	if hits, misses := s2.Metrics().SimCacheCounts(); hits != 4 || misses != 0 {
-		t.Errorf("restarted sweep hits=%d misses=%d, want 4/0", hits, misses)
+	series := scrape(t, s2.Metrics())
+	if hits, misses := series["valleyd_sim_cells_cache_hits_total"], series["valleyd_sim_cells_cache_misses_total"]; hits != 4 || misses != 0 {
+		t.Errorf("restarted sweep hits=%g misses=%g, want 4/0", hits, misses)
 	}
-	if _, disk := s2.Metrics().TierHits(); disk == 0 {
+	if disk := series[`valleyd_cache_tier_hits_total{tier="disk"}`]; disk == 0 {
 		t.Error("no tier=disk hits recorded — the warm sweep never touched the spill store")
 	}
 }

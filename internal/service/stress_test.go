@@ -47,11 +47,12 @@ func TestStressConcurrentProfiles(t *testing.T) {
 	}
 
 	// The server-side metrics must agree.
-	h, m := svc.Metrics().CacheCounts()
+	series := scrape(t, svc.Metrics())
+	h, m := series["valleyd_profile_cache_hits_total"], series["valleyd_profile_cache_misses_total"]
 	if h+m != n {
-		t.Errorf("metrics saw %d lookups, want %d", h+m, n)
+		t.Errorf("metrics saw %g lookups, want %d", h+m, n)
 	}
-	if rate := svc.Metrics().CacheHitRate(); rate <= 0.90 {
+	if rate := h / (h + m); rate <= 0.90 {
 		t.Errorf("reported hit rate = %.2f, want > 0.90", rate)
 	}
 }
