@@ -1,8 +1,7 @@
 // Hardware cache models. This file implements the set-associative,
 // write-back, write-allocate caches of the simulated GPU (Table I):
 // the 16 KB 4-way per-SM L1 data caches and the eight 64 KB 8-way LLC
-// slices. The package doc (and the service-level tiered result store)
-// lives in doc.go.
+// slices. The package doc lives in doc.go.
 package cache
 
 import (

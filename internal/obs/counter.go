@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -69,15 +69,15 @@ func (v *CounterVec) Collect(b []byte) []byte {
 	return b
 }
 
-// vec holds a labeled family's children, keyed by their rendered label
-// list and kept in creation order for stable exposition.
+// vec holds a labeled family's children, keyed by their raw label
+// values and kept in creation order for stable exposition.
 type vec[T any] struct {
 	name       string
 	help       string
 	labelNames []string
 
 	mu       sync.Mutex
-	children map[string]*T
+	children map[string]*T // key: each value as uvarint length + bytes
 	order    []*T
 }
 
@@ -86,28 +86,37 @@ func newVec[T any](name, help string, labelNames []string) vec[T] {
 }
 
 // with returns the child for values, building it with mk on first use.
+// The lookup key is built in a stack buffer and the map is indexed
+// with string(key), which does not copy, so resolving an existing
+// child allocates nothing; the `k="v",…` list is rendered only when a
+// child is created.
 func (v *vec[T]) with(values []string, mk func(labels string) *T) *T {
 	if len(values) != len(v.labelNames) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labelNames), len(values)))
 	}
-	var sb strings.Builder
-	for i, val := range values {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(v.labelNames[i])
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(val))
+	var buf [128]byte
+	key := buf[:0]
+	for _, val := range values {
+		key = binary.AppendUvarint(key, uint64(len(val)))
+		key = append(key, val...)
 	}
-	key := sb.String()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.children[key]
-	if !ok {
-		c = mk(key)
-		v.children[key] = c
-		v.order = append(v.order, c)
+	if c, ok := v.children[string(key)]; ok {
+		return c
 	}
+	var labels []byte
+	for i, val := range values {
+		if i > 0 {
+			labels = append(labels, ',')
+		}
+		labels = append(labels, v.labelNames[i]...)
+		labels = append(labels, '=')
+		labels = strconv.AppendQuote(labels, val)
+	}
+	c := mk(string(labels))
+	v.children[string(key)] = c
+	v.order = append(v.order, c)
 	return c
 }
 

@@ -1,26 +1,22 @@
 package service
 
-import (
-	"encoding/json"
+import "valleymap/internal/store"
 
-	"valleymap/internal/cache"
-)
-
-// Both service caches are instances of the generic content-addressed
-// sharded LRU with in-flight request coalescing (internal/cache); keys
-// encode the input identity plus every option that affects the result.
+// Both service caches are instances of the content-addressed result
+// store (internal/store); keys encode the input identity plus every
+// option that affects the result.
 
 // profileCache is the entropy-profile cache (content-addressed by trace
 // identity + analysis options). Profiles all cost roughly the same to
 // recompute per byte held, so it keeps exact LRU eviction (no weigher)
 // and no spill tier — a profile is one streaming pass, not minutes of
 // simulation.
-type profileCache = cache.Sharded[*ProfileResult]
+type profileCache = store.Store[*ProfileResult]
 
 func newProfileCache(capacity int, m *Metrics) *profileCache {
-	c := cache.NewSharded(cache.ShardedOptions[*ProfileResult]{
+	c := store.New(store.Options[*ProfileResult]{
 		Capacity: capacity,
-		OnHit:    m.profileHits.Inc,
+		OnHit:    func(store.Tier) { m.profileHits.Inc() },
 		OnMiss:   m.profileMisses.Inc,
 	})
 	addGauge(m, "valleyd_profile_cache_entries", "Resident profile-cache entries.", c.Len)
@@ -36,9 +32,10 @@ func newProfileCache(capacity int, m *Metrics) *profileCache {
 // magnitude (a full-scale 3D sweep cell vs a tiny BASE cell), so the
 // cache evicts cost-aware — each cell carries its measured simulation
 // seconds as weight — and, when a spill directory is configured,
-// eviction spills to disk instead of discarding: seconds-to-minutes of
-// simulation survive both memory pressure and restarts.
-type simCache = cache.Tiered[*simCell]
+// eviction spills the cell's JSON encoding to disk instead of
+// discarding it: seconds-to-minutes of simulation survive both memory
+// pressure and restarts.
+type simCache = store.Store[*simCell]
 
 // simCellBytes approximates a resident cell's footprint: the flattened
 // metric struct plus key and bookkeeping. Cells are near-constant size,
@@ -46,26 +43,17 @@ type simCache = cache.Tiered[*simCell]
 const simCellBytes = 512
 
 // newSimCache builds the tiered simulation-result cache over disk
-// (which may be nil for a memory-only cache). Spill payloads are the
-// JSON encoding of one simCell.
-func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
-	c, err := cache.NewTiered(cache.TieredOptions[*simCell]{
+// (which may be nil for a memory-only cache).
+func newSimCache(capacity int, disk *store.Disk, m *Metrics) *simCache {
+	c := store.New(store.Options[*simCell]{
 		Capacity: capacity,
 		Disk:     disk,
-		Encode:   func(c *simCell) ([]byte, error) { return json.Marshal(c) },
-		Decode: func(p []byte) (*simCell, error) {
-			var c simCell
-			if err := json.Unmarshal(p, &c); err != nil {
-				return nil, err
-			}
-			return &c, nil
+		Weigh: func(c *simCell) store.Weight {
+			return store.Weight{Cost: c.Seconds, Bytes: simCellBytes}
 		},
-		Weigh: func(c *simCell) cache.Weight {
-			return cache.Weight{Cost: c.Seconds, Bytes: simCellBytes}
-		},
-		OnHit: func(t cache.Tier) {
+		OnHit: func(t store.Tier) {
 			m.simHits.Inc()
-			if t == cache.TierDisk {
+			if t == store.TierDisk {
 				m.tierDisk.Inc()
 			} else {
 				m.tierMem.Inc()
@@ -73,12 +61,7 @@ func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 		},
 		OnMiss: m.simMisses.Inc,
 	})
-	if err != nil {
-		// Encode/Decode are set above; the only error is a programming
-		// mistake, not a runtime condition.
-		panic(err)
-	}
-	addGauge(m, "valleyd_sim_cache_entries", "Resident simulation-result cache entries.", c.MemLen)
+	addGauge(m, "valleyd_sim_cache_entries", "Resident simulation-result cache entries.", c.Len)
 	if disk != nil {
 		addGauge(m, "valleyd_cache_spill_entries", "Entry files resident in the spill directory.", disk.Len)
 		addGauge(m, "valleyd_cache_spill_bytes", "Bytes resident in the spill directory.", disk.Bytes)
@@ -88,8 +71,8 @@ func newSimCache(capacity int, disk *cache.DiskStore, m *Metrics) *simCache {
 
 // newSpillStore opens the spill directory with the service's metrics
 // wired to the store's observers.
-func newSpillStore(dir string, maxBytes int64, m *Metrics) (*cache.DiskStore, error) {
-	return cache.OpenDisk(cache.DiskOptions{
+func newSpillStore(dir string, maxBytes int64, m *Metrics) (*store.Disk, error) {
+	return store.OpenDisk(store.DiskOptions{
 		Dir:         dir,
 		MaxBytes:    maxBytes,
 		OnWrite:     m.spillWrites.Inc,

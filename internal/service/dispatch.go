@@ -20,12 +20,12 @@ import (
 	"sync"
 	"time"
 
-	"valleymap/internal/cache"
 	"valleymap/internal/experiments"
 	"valleymap/internal/fault"
 	"valleymap/internal/gpusim"
 	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
+	"valleymap/internal/store"
 	"valleymap/internal/workload"
 )
 
@@ -145,7 +145,7 @@ func (sw *sweep) addGrid(specs []workload.Spec, schemes []mapping.Scheme) {
 // under span; the returned CellResult is complete except for span
 // annotations, which the caller owns. Context errors come back
 // unwrapped; a panic inside the compute closure surfaces as a
-// cache.PanicError, already logged and counted.
+// store.PanicError, already logged and counted.
 func (s *Service) executeCell(ctx context.Context, sw *sweep, c *cell, span obs.SpanRef) (CellResult, error) {
 	cellStart := time.Now()
 	// putSpan covers the cache insert after the compute closure
@@ -206,7 +206,7 @@ func (s *Service) executeCell(ctx context.Context, sw *sweep, c *cell, span obs.
 	}
 	var (
 		cached *simCell
-		tier   cache.Tier
+		tier   store.Tier
 		err    error
 	)
 	for attempt := 0; ; attempt++ {
@@ -223,11 +223,11 @@ func (s *Service) executeCell(ctx context.Context, sw *sweep, c *cell, span obs.
 	putSpan.End()
 	if err != nil {
 		// A panic inside the compute closure surfaces as a
-		// cache.PanicError (the cache recovers it to keep the
+		// store.PanicError (the cache recovers it to keep the
 		// in-flight coalescing sane); account for it as a crash
 		// with the stack from the panic site. Context errors are the
 		// caller's to classify quietly.
-		var pe *cache.PanicError
+		var pe *store.PanicError
 		if errors.As(err, &pe) {
 			s.logCellPanic(sw, c, pe.Value, pe.Stack)
 		}
@@ -235,7 +235,7 @@ func (s *Service) executeCell(ctx context.Context, sw *sweep, c *cell, span obs.
 	}
 	// A spill-tier hit is a hit: the cell came from the cache,
 	// not the simulator, whichever tier held it.
-	hit := tier != cache.TierMiss
+	hit := tier != store.TierMiss
 	done := CellResult{
 		Workload:   c.sp.Abbr,
 		Scheme:     string(c.sc),
@@ -314,7 +314,7 @@ func (s *Service) cellTask(ctx context.Context, sw *sweep, c *cell, wg *sync.Wai
 			return
 		}
 		if err != nil {
-			var pe *cache.PanicError
+			var pe *store.PanicError
 			if errors.As(err, &pe) {
 				cellSpan.Annotate(obs.Attr{Key: "panic", Value: fmt.Sprint(pe.Value)})
 			}

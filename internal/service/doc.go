@@ -2,10 +2,10 @@
 // library's entropy profiling, mapping advice and full-system simulation
 // as a concurrent, cached network service. The building blocks are a
 // sharded content-addressed profile cache with in-flight coalescing
-// (cache.go, over internal/cache.Sharded), a bounded worker pool
+// (cache.go, over internal/store), a bounded worker pool
 // executing simulation sweep jobs (jobs.go), a per-job event bus
 // streaming sweep progress (events.go), a two-tier simulation-result
-// cache that spills to disk (cache.go, over internal/cache.Tiered),
+// cache that spills to disk (cache.go, over internal/store's Disk tier),
 // and a stdlib net/http JSON API over all of it (http.go), with
 // Prometheus plain-text metrics rendered, all of /metrics, from one
 // obs.Registry (metrics.go).
@@ -137,7 +137,7 @@
 // report "cached": true, valleyd_cache_tier_hits_total{tier="disk"}
 // counts the disk serves). Spill damage of any kind — failed writes,
 // torn files, corrupt entries — degrades to a recomputed miss, never
-// an error or corrupt bytes; see internal/cache's package docs for the
+// an error or corrupt bytes; see internal/store's package docs for the
 // full two-tier contract.
 //
 // # Fault injection
@@ -166,7 +166,7 @@
 // /metrics from the one obs.Registry in metrics.go (tracing.go holds
 // the trace endpoint). Panics anywhere in
 // a sweep — worker task, cell, or inside the cache's compute closure
-// (surfaced as a cache.PanicError) — are recovered, logged with their
+// (surfaced as a store.PanicError) — are recovered, logged with their
 // stack, counted in valleyd_worker_panics_total, and fail only the
 // affected job.
 package service

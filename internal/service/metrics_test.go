@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"valleymap/internal/cluster"
 )
@@ -124,5 +125,23 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 	if series["valleyd_cache_spill_writes_total"] < 1 {
 		t.Error("no spill write landed — the spill families were not exercised")
+	}
+}
+
+// TestMetricsHotPathAllocs pins the per-request cost of resolving a
+// labeled child that already exists: the latency observation allocates
+// only the status code's string, and a dispatch counter lookup
+// allocates nothing.
+func TestMetricsHotPathAllocs(t *testing.T) {
+	m := NewMetrics()
+	if n := testing.AllocsPerRun(100, func() {
+		m.ObserveRequestLatency("/v1/profile", 200, time.Millisecond)
+	}); n > 1 {
+		t.Errorf("ObserveRequestLatency allocates %v times per request, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m.clusterDispatched.With("w0").Inc()
+	}); n != 0 {
+		t.Errorf("clusterDispatched.With allocates %v times per call, want 0", n)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"valleymap/internal/bim"
-	"valleymap/internal/cache"
 	"valleymap/internal/cluster"
 	"valleymap/internal/entropy"
 	"valleymap/internal/experiments"
@@ -24,6 +23,7 @@ import (
 	"valleymap/internal/layout"
 	"valleymap/internal/mapping"
 	"valleymap/internal/obs"
+	"valleymap/internal/store"
 	"valleymap/internal/trace"
 	"valleymap/internal/workload"
 )
@@ -177,7 +177,7 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
-	var spill *cache.DiskStore
+	var spill *store.Disk
 	if cfg.SpillDir != "" {
 		var err error
 		spill, err = newSpillStore(cfg.SpillDir, cfg.SpillMaxBytes, m)
@@ -510,7 +510,8 @@ func (s *Service) profileOneShot(cs hashedTraceStream, opt profileOptions, stage
 	// the compute was skipped: re-uploads dedupe storage, not work.
 	// Clients that want compute-free repeats should re-request by
 	// workload abbreviation or keep the returned profile.
-	return s.cache.GetOrCompute(key, func() (*ProfileResult, error) { return res, nil })
+	got, tier, err := s.cache.GetOrCompute(key, func() (*ProfileResult, error) { return res, nil })
+	return got, tier != store.TierMiss, err
 }
 
 // profileFile profiles a trace file from the configured trace
@@ -579,7 +580,7 @@ func (s *Service) profileUpload(app *trace.App, sha string, opt profileOptions) 
 // cachedProfile computes a profile through the streaming pipeline under
 // the cache's in-flight coalescing, bounded by the profile semaphore.
 func (s *Service) cachedProfile(key string, opt profileOptions, stages *stageSet, build func() (trace.Source, TraceInfo, error)) (*ProfileResult, bool, error) {
-	return s.cache.GetOrCompute(key, func() (*ProfileResult, error) {
+	res, tier, err := s.cache.GetOrCompute(key, func() (*ProfileResult, error) {
 		s.profileSem <- struct{}{}
 		defer func() { <-s.profileSem }()
 		src, info, err := build()
@@ -593,6 +594,7 @@ func (s *Service) cachedProfile(key string, opt profileOptions, stages *stageSet
 		info.Kernels = kernels
 		return assembleResult(prof, info, opt, key), nil
 	})
+	return res, tier != store.TierMiss, err
 }
 
 // kernelCounter counts kernel headers as they flow by, so TraceInfo can

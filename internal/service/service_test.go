@@ -7,54 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"valleymap/internal/cache"
 	"valleymap/internal/experiments"
+	"valleymap/internal/store"
 )
-
-// singleShardProfileCache pins per-shard LRU ordering for the tests
-// below: with one shard a Sharded cache is behaviorally identical to
-// the bare LRU (the internal/cache parity suite proves it), so
-// eviction-order assertions stay deterministic regardless of how keys
-// hash across the default shard count.
-func singleShardProfileCache(capacity int) *profileCache {
-	return cache.NewSharded(cache.ShardedOptions[*ProfileResult]{Capacity: capacity, Shards: 1})
-}
-
-func TestProfileCacheLRUEviction(t *testing.T) {
-	c := singleShardProfileCache(2)
-	mk := func(key string) *ProfileResult { return &ProfileResult{CacheKey: key} }
-	for _, k := range []string{"a", "b", "c"} {
-		k := k
-		if _, hit, err := c.GetOrCompute(k, func() (*ProfileResult, error) { return mk(k), nil }); err != nil || hit {
-			t.Fatalf("first compute of %q: hit=%v err=%v", k, hit, err)
-		}
-	}
-	// "a" was evicted by "c"; "b" and "c" are resident.
-	if c.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.Len())
-	}
-	if _, hit, _ := c.GetOrCompute("b", func() (*ProfileResult, error) { return mk("b"), nil }); !hit {
-		t.Error("b should be resident")
-	}
-	if _, hit, _ := c.GetOrCompute("a", func() (*ProfileResult, error) { return mk("a"), nil }); hit {
-		t.Error("a should have been evicted")
-	}
-}
-
-func TestProfileCacheTouchRefreshesLRU(t *testing.T) {
-	c := singleShardProfileCache(2)
-	mk := func(key string) *ProfileResult { return &ProfileResult{CacheKey: key} }
-	c.GetOrCompute("a", func() (*ProfileResult, error) { return mk("a"), nil })
-	c.GetOrCompute("b", func() (*ProfileResult, error) { return mk("b"), nil })
-	c.GetOrCompute("a", func() (*ProfileResult, error) { return mk("a"), nil }) // touch a
-	c.GetOrCompute("c", func() (*ProfileResult, error) { return mk("c"), nil }) // evicts b
-	if _, hit, _ := c.GetOrCompute("a", func() (*ProfileResult, error) { return mk("a"), nil }); !hit {
-		t.Error("a was touched and must survive")
-	}
-	if _, hit, _ := c.GetOrCompute("b", func() (*ProfileResult, error) { return mk("b"), nil }); hit {
-		t.Error("b was least recently used and must be evicted")
-	}
-}
 
 func TestProfileCacheCoalescesInflight(t *testing.T) {
 	c := newProfileCache(8, NewMetrics())
@@ -68,7 +23,7 @@ func TestProfileCacheCoalescesInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := c.GetOrCompute("k", func() (*ProfileResult, error) {
+			_, tier, err := c.GetOrCompute("k", func() (*ProfileResult, error) {
 				computes.Add(1)
 				<-gate
 				return &ProfileResult{CacheKey: "k"}, nil
@@ -76,7 +31,7 @@ func TestProfileCacheCoalescesInflight(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			hits[i] = hit
+			hits[i] = tier != store.TierMiss
 		}()
 	}
 	close(gate)
@@ -105,8 +60,8 @@ func TestProfileCacheSurvivesPanickingCompute(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, hit, err := c.GetOrCompute("k", func() (*ProfileResult, error) { return &ProfileResult{}, nil }); hit || err != nil {
-			t.Errorf("retry after panic: hit=%v err=%v", hit, err)
+		if _, tier, err := c.GetOrCompute("k", func() (*ProfileResult, error) { return &ProfileResult{}, nil }); tier != store.TierMiss || err != nil {
+			t.Errorf("retry after panic: tier=%v err=%v", tier, err)
 		}
 	}()
 	select {
@@ -122,8 +77,8 @@ func TestProfileCacheDoesNotCacheErrors(t *testing.T) {
 	if _, _, err := c.GetOrCompute("k", func() (*ProfileResult, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, hit, err := c.GetOrCompute("k", func() (*ProfileResult, error) { return &ProfileResult{}, nil }); hit || err != nil {
-		t.Fatalf("after error: hit=%v err=%v, want recompute", hit, err)
+	if _, tier, err := c.GetOrCompute("k", func() (*ProfileResult, error) { return &ProfileResult{}, nil }); tier != store.TierMiss || err != nil {
+		t.Fatalf("after error: tier=%v err=%v, want recompute", tier, err)
 	}
 }
 

@@ -27,8 +27,10 @@ func TestSpillRestartWarm(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	req := SimulateRequest{Workloads: []string{"SP", "NW"}, Schemes: []string{"BASE", "PAE"}, Scale: "tiny"}
 
-	// Memory capacity 1 forces three of the four cells to be evicted
-	// (and spilled) while the sweep is still running.
+	// Memory capacity 1 is one shard holding one cell (the store never
+	// holds more than its capacity), so three of the four cells are
+	// evicted (and spilled) while the sweep is still running; Close
+	// spills the last.
 	s1 := New(Config{Workers: 2, SimCacheEntries: 1, SpillDir: dir})
 	cold := runSweepToDone(t, s1, req)
 	for _, c := range cold.Cells {

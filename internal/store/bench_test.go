@@ -1,4 +1,4 @@
-package cache
+package store
 
 import (
 	"fmt"
@@ -12,13 +12,13 @@ import (
 // evenly loaded, few enough that everything stays memory-resident.
 const warmKeys = 1024
 
-func preloadCache(b *testing.B, shards int) (*Sharded[int], []string) {
+func preloadCache(b *testing.B, shards int) (*Store[int], []string) {
 	b.Helper()
-	s := NewSharded(ShardedOptions[int]{Capacity: warmKeys * 2, Shards: shards})
+	s := newStore(Options[int]{Capacity: warmKeys * 2}, shards)
 	keys := make([]string, warmKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sim|W%03d|tiny|BASE|baseline|%d", i, i)
-		s.Add(keys[i], i)
+		s.add(keys[i], i)
 	}
 	return s, keys
 }

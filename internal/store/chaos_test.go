@@ -1,6 +1,6 @@
 //go:build faultinject
 
-package cache
+package store
 
 // Chaos tests for the spill tier's fault seams. Built only with
 // -tags faultinject; CI runs them with -race. The invariant under every
@@ -153,12 +153,12 @@ func TestChaosTieredSpillFaultsDegradeToRecompute(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk)
+	tc := newTestStore(t, 1, 1, disk)
 
 	fault.InjectError(fault.SpillWrite, 1.0, nil)
-	tc.Add("a", tierCell{N: 1})
-	tc.Add("b", tierCell{N: 2}) // evicts a; its spill write fails
-	tc.Flush()
+	tc.add("a", tierCell{N: 1})
+	tc.add("b", tierCell{N: 2}) // evicts a; its spill write fails
+	disk.Flush()
 	fault.Reset()
 
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil })

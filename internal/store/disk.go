@@ -1,4 +1,4 @@
-package cache
+package store
 
 // Disk spill tier: a content-addressed store of serialized cache
 // entries, one checksummed file per entry under two-level fan-out
@@ -11,12 +11,8 @@ package cache
 // file and reads as a miss, because a cache is always allowed to
 // forget. A byte-budget janitor evicts the lowest cost-per-byte
 // entries after each landed write, mirroring the memory tier's
-// cost-aware policy.
-//
-// Ordering contract: an entry is readable from the moment Put accepts
-// it — Get and Contains consult the pending queue before the on-disk
-// index — so spilling is never a visibility gap. Dropped writes lose
-// only cache warmth (the entry reverts to a miss), never correctness.
+// cost-aware policy. The package docs give the ordering and crash
+// contract.
 
 import (
 	"bytes"
@@ -38,7 +34,7 @@ import (
 // format version.
 var spillMagic = [8]byte{'V', 'S', 'P', 'I', 'L', 'L', '0', '1'}
 
-// DiskOptions configures a DiskStore. All callbacks may be nil and are
+// DiskOptions configures a Disk. All callbacks may be nil and are
 // invoked outside the store's lock; they must not call back into the
 // store.
 type DiskOptions struct {
@@ -48,8 +44,9 @@ type DiskOptions struct {
 	// lowest cost-per-byte entries to stay under it. <= 0 disables the
 	// budget.
 	MaxBytes int64
-	// QueueLen bounds the write-behind queue (0 = 256 pending writes).
-	QueueLen int
+	// queueLen bounds the write-behind queue (0 = 256 pending writes);
+	// only tests shrink it.
+	queueLen int
 	// OnWrite observes each landed entry file.
 	OnWrite func()
 	// OnWriteDrop observes pending writes discarded on queue overflow.
@@ -72,9 +69,9 @@ type spillReq struct {
 	cost    float64
 }
 
-// DiskStore is the disk-backed tier. All methods are safe for
+// Disk is the disk-backed spill tier. All methods are safe for
 // concurrent use.
-type DiskStore struct {
+type Disk struct {
 	opt DiskOptions
 
 	mu      sync.Mutex
@@ -93,17 +90,17 @@ type DiskStore struct {
 // the in-memory index by scanning it: every entry file is read and
 // fully validated, and damaged files are deleted on the spot. The
 // write-behind drain goroutine starts immediately; callers must Close.
-func OpenDisk(opt DiskOptions) (*DiskStore, error) {
+func OpenDisk(opt DiskOptions) (*Disk, error) {
 	if opt.Dir == "" {
-		return nil, errors.New("cache: spill dir must not be empty")
+		return nil, errors.New("store: spill dir must not be empty")
 	}
-	if opt.QueueLen <= 0 {
-		opt.QueueLen = 256
+	if opt.queueLen <= 0 {
+		opt.queueLen = 256
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache: creating spill dir: %w", err)
+		return nil, fmt.Errorf("store: creating spill dir: %w", err)
 	}
-	d := &DiskStore{
+	d := &Disk{
 		opt:     opt,
 		index:   map[string]diskMeta{},
 		pending: map[string]*spillReq{},
@@ -119,7 +116,7 @@ func OpenDisk(opt DiskOptions) (*DiskStore, error) {
 
 // entryPath fans the key's digest out over two directory levels so no
 // single directory accumulates millions of entries.
-func (d *DiskStore) entryPath(key string) string {
+func (d *Disk) entryPath(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	hexsum := hex.EncodeToString(sum[:])
 	return filepath.Join(d.opt.Dir, hexsum[:2], hexsum[2:])
@@ -128,10 +125,10 @@ func (d *DiskStore) entryPath(key string) string {
 // scan rebuilds the index from the fan-out directories. Anything that
 // fails validation is removed; scan itself only fails on I/O errors
 // listing the directories.
-func (d *DiskStore) scan() error {
+func (d *Disk) scan() error {
 	subs, err := os.ReadDir(d.opt.Dir)
 	if err != nil {
-		return fmt.Errorf("cache: scanning spill dir: %w", err)
+		return fmt.Errorf("store: scanning spill dir: %w", err)
 	}
 	for _, sub := range subs {
 		if !sub.IsDir() || len(sub.Name()) != 2 {
@@ -139,7 +136,7 @@ func (d *DiskStore) scan() error {
 		}
 		files, err := os.ReadDir(filepath.Join(d.opt.Dir, sub.Name()))
 		if err != nil {
-			return fmt.Errorf("cache: scanning spill dir: %w", err)
+			return fmt.Errorf("store: scanning spill dir: %w", err)
 		}
 		for _, f := range files {
 			if f.IsDir() {
@@ -168,7 +165,7 @@ func (d *DiskStore) scan() error {
 // caller. When the queue is full the oldest pending write is dropped
 // (counted via OnWriteDrop) — the newest spill is the one most likely
 // to be re-read. Put never blocks on I/O.
-func (d *DiskStore) Put(key string, payload []byte, cost float64) {
+func (d *Disk) Put(key string, payload []byte, cost float64) {
 	if cost < 0 || math.IsNaN(cost) {
 		cost = 0
 	}
@@ -179,7 +176,7 @@ func (d *DiskStore) Put(key string, payload []byte, cost float64) {
 		d.mu.Unlock()
 		return
 	}
-	if len(d.queue) >= d.opt.QueueLen {
+	if len(d.queue) >= d.opt.queueLen {
 		old := d.queue[0]
 		d.queue = d.queue[1:]
 		if d.pending[old.key] == old {
@@ -201,7 +198,7 @@ func (d *DiskStore) Put(key string, payload []byte, cost float64) {
 // Put is immediately readable); landed entries are read from disk and
 // fully verified, with any damage deleting the file and reading as a
 // miss.
-func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
+func (d *Disk) Get(key string) ([]byte, float64, bool) {
 	d.mu.Lock()
 	if req, ok := d.pending[key]; ok {
 		payload, cost := req.payload, req.cost
@@ -222,7 +219,7 @@ func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
 	if err == nil && gotKey != key {
 		// A digest collision or a foreign file at this path: neither is
 		// our entry.
-		err = fmt.Errorf("cache: spill entry holds key %q, want %q", gotKey, key)
+		err = fmt.Errorf("store: spill entry holds key %q, want %q", gotKey, key)
 	}
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
@@ -242,7 +239,7 @@ func (d *DiskStore) Get(key string) ([]byte, float64, bool) {
 
 // Contains reports whether key is resident (pending or landed) without
 // touching the disk.
-func (d *DiskStore) Contains(key string) bool {
+func (d *Disk) Contains(key string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.pending[key]; ok {
@@ -253,7 +250,7 @@ func (d *DiskStore) Contains(key string) bool {
 }
 
 // Remove deletes key's entry (landed and/or pending), if any.
-func (d *DiskStore) Remove(key string) {
+func (d *Disk) Remove(key string) {
 	d.mu.Lock()
 	if req, ok := d.pending[key]; ok {
 		delete(d.pending, key)
@@ -276,25 +273,22 @@ func (d *DiskStore) Remove(key string) {
 }
 
 // Len reports landed entries (pending writes excluded).
-func (d *DiskStore) Len() int {
+func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.index)
 }
 
 // Bytes reports landed entry bytes (pending writes excluded).
-func (d *DiskStore) Bytes() int64 {
+func (d *Disk) Bytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.bytes
 }
 
-// QueueLen reports the configured write-behind queue bound.
-func (d *DiskStore) QueueLen() int { return d.opt.QueueLen }
-
 // Flush blocks until every currently pending write has landed (or been
 // dropped). New Puts racing a Flush may or may not be waited for.
-func (d *DiskStore) Flush() {
+func (d *Disk) Flush() {
 	d.mu.Lock()
 	for len(d.queue) > 0 || d.writing {
 		d.cond.Wait()
@@ -305,7 +299,7 @@ func (d *DiskStore) Flush() {
 // Close drains the write-behind queue — every accepted Put lands or is
 // already counted dropped — and stops the drain goroutine. Further
 // Puts are ignored. Close is idempotent.
-func (d *DiskStore) Close() {
+func (d *Disk) Close() {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -321,7 +315,7 @@ func (d *DiskStore) Close() {
 // drain is the write-behind goroutine: one pending entry at a time,
 // then the byte-budget janitor. It exits only when closed AND empty,
 // so Close always drains.
-func (d *DiskStore) drain() {
+func (d *Disk) drain() {
 	defer close(d.done)
 	for {
 		d.mu.Lock()
@@ -376,7 +370,7 @@ func (d *DiskStore) drain() {
 // budget, removing them from the index; the caller deletes the files
 // outside the lock. Victim choice mirrors the memory tier: lowest
 // Cost/Bytes density first.
-func (d *DiskStore) janitorLocked() []string {
+func (d *Disk) janitorLocked() []string {
 	if d.opt.MaxBytes <= 0 {
 		return nil
 	}
@@ -397,7 +391,7 @@ func (d *DiskStore) janitorLocked() []string {
 	return victims
 }
 
-func (d *DiskStore) observe(fn func()) {
+func (d *Disk) observe(fn func()) {
 	if fn != nil {
 		fn()
 	}
@@ -407,7 +401,7 @@ func (d *DiskStore) observe(fn func()) {
 // fan-out directory). The SpillWrite fault seam fails the write before
 // any bytes land; SpillTorn truncates the framed bytes but lets the
 // rename publish the torn file — caught later by Get's checksum.
-func (d *DiskStore) writeEntry(req *spillReq) (int64, error) {
+func (d *Disk) writeEntry(req *spillReq) (int64, error) {
 	if err := fault.Err(fault.SpillWrite); err != nil {
 		return 0, err
 	}
@@ -467,22 +461,22 @@ func readEntryFile(path string) (key string, payload []byte, cost float64, err e
 		return "", nil, 0, err
 	}
 	if len(data) < spillHeaderLen+sha256.Size {
-		return "", nil, 0, errors.New("cache: spill entry truncated")
+		return "", nil, 0, errors.New("store: spill entry truncated")
 	}
 	if !bytes.Equal(data[:8], spillMagic[:]) {
-		return "", nil, 0, fmt.Errorf("cache: spill entry magic %q is not %q", data[:8], spillMagic[:])
+		return "", nil, 0, fmt.Errorf("store: spill entry magic %q is not %q", data[:8], spillMagic[:])
 	}
 	keyLen := binary.LittleEndian.Uint32(data[8:12])
 	payLen := binary.LittleEndian.Uint64(data[12:20])
 	cost = math.Float64frombits(binary.LittleEndian.Uint64(data[20:28]))
 	body := uint64(len(data) - spillHeaderLen - sha256.Size)
 	if uint64(keyLen)+payLen != body {
-		return "", nil, 0, fmt.Errorf("cache: spill entry lengths %d+%d do not match %d body bytes", keyLen, payLen, body)
+		return "", nil, 0, fmt.Errorf("store: spill entry lengths %d+%d do not match %d body bytes", keyLen, payLen, body)
 	}
 	sumStart := spillHeaderLen + int(keyLen) + int(payLen)
 	sum := sha256.Sum256(data[:sumStart])
 	if !bytes.Equal(sum[:], data[sumStart:]) {
-		return "", nil, 0, errors.New("cache: spill entry checksum mismatch")
+		return "", nil, 0, errors.New("store: spill entry checksum mismatch")
 	}
 	key = string(data[spillHeaderLen : spillHeaderLen+int(keyLen)])
 	payload = data[spillHeaderLen+int(keyLen) : sumStart]

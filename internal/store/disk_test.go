@@ -1,4 +1,4 @@
-package cache
+package store
 
 import (
 	"crypto/sha256"
@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func openTestDisk(t *testing.T, opt DiskOptions) *DiskStore {
+func openTestDisk(t *testing.T, opt DiskOptions) *Disk {
 	t.Helper()
 	if opt.Dir == "" {
 		opt.Dir = filepath.Join(t.TempDir(), "spill")
@@ -68,7 +68,7 @@ func TestDiskPendingReadableBeforeFlush(t *testing.T) {
 func TestDiskDropOldestOnOverflow(t *testing.T) {
 	var drops atomic.Int64
 	dir := filepath.Join(t.TempDir(), "spill")
-	d, err := OpenDisk(DiskOptions{Dir: dir, QueueLen: 2, OnWriteDrop: func() { drops.Add(1) }})
+	d, err := OpenDisk(DiskOptions{Dir: dir, queueLen: 2, OnWriteDrop: func() { drops.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDiskDropOldestOnOverflow(t *testing.T) {
 	d.mu.Lock()
 	for i := 0; i < 4; i++ {
 		req := &spillReq{key: fmt.Sprintf("k%d", i), payload: []byte("v"), cost: 1}
-		if len(d.queue) >= d.opt.QueueLen {
+		if len(d.queue) >= d.opt.queueLen {
 			old := d.queue[0]
 			d.queue = d.queue[1:]
 			if d.pending[old.key] == old {
@@ -112,7 +112,7 @@ func TestDiskDropOldestOnOverflow(t *testing.T) {
 func TestDiskPutOverflowCallsDropHook(t *testing.T) {
 	var drops, writes atomic.Int64
 	d := openTestDisk(t, DiskOptions{
-		QueueLen:    1,
+		queueLen:    1,
 		OnWrite:     func() { writes.Add(1) },
 		OnWriteDrop: func() { drops.Add(1) },
 	})
@@ -204,7 +204,7 @@ func TestDiskDamagedEntryIsMissAndRemoved(t *testing.T) {
 	}
 }
 
-// TestDiskReopenScan: a fresh DiskStore over an existing directory
+// TestDiskReopenScan: a fresh Disk over an existing directory
 // rebuilds the index from the entry files, deleting any damaged ones on
 // the spot; valid neighbours survive.
 func TestDiskReopenScan(t *testing.T) {
@@ -283,7 +283,7 @@ func TestDiskRemove(t *testing.T) {
 // landed, and a reopened store sees them all.
 func TestDiskCloseDrains(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
-	d, err := OpenDisk(DiskOptions{Dir: dir, QueueLen: 512})
+	d, err := OpenDisk(DiskOptions{Dir: dir, queueLen: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDiskCloseDrains(t *testing.T) {
 // TestDiskConcurrentStorm is the -race workout for the spill store:
 // writers, readers and removers hammering overlapping keys.
 func TestDiskConcurrentStorm(t *testing.T) {
-	d := openTestDisk(t, DiskOptions{QueueLen: 32, MaxBytes: 1 << 20})
+	d := openTestDisk(t, DiskOptions{queueLen: 32, MaxBytes: 1 << 20})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

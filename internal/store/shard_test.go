@@ -1,4 +1,4 @@
-package cache
+package store
 
 import (
 	"errors"
@@ -9,28 +9,57 @@ import (
 )
 
 // fill inserts keys with per-key weights through the compute path.
-func fill(t *testing.T, c *LRU[string], keys []string) {
+func fill(t *testing.T, c *Store[string], keys []string) {
 	t.Helper()
 	for _, k := range keys {
 		k := k
-		if _, hit, err := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); err != nil || hit {
-			t.Fatalf("inserting %q: hit=%v err=%v", k, hit, err)
+		if _, tier, err := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); err != nil || tier != TierMiss {
+			t.Fatalf("inserting %q: tier=%v err=%v", k, tier, err)
 		}
 	}
 }
 
-func resident(c *LRU[string]) map[string]bool {
+func resident(c *Store[string]) map[string]bool {
 	out := map[string]bool{}
-	for _, e := range c.Entries() {
-		out[e.Key] = true
+	for _, e := range c.entries() {
+		out[e.key] = true
+	}
+	return out
+}
+
+// The helpers below stand in for the insert, probe and listing calls
+// the service never makes.
+
+// add inserts (or refreshes) an entry without a computation, making it
+// the most recently used; what it evicts spills as usual.
+func (s *Store[V]) add(key string, val V) {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	evicted := sh.insertLocked(key, val)
+	sh.mu.Unlock()
+	for _, e := range evicted {
+		s.spill(e)
+	}
+}
+
+// peek reports the memory-resident value without touching recency,
+// the observers or the disk tier.
+func (s *Store[V]) peek(key string) (V, bool) { return s.shardFor(key).peek(key) }
+
+// entries lists every shard's resident entries, least recently used
+// first within a shard, shards in index order.
+func (s *Store[V]) entries() []entry[V] {
+	var out []entry[V]
+	for _, sh := range s.shards {
+		out = append(out, sh.entries()...)
 	}
 	return out
 }
 
 // TestLRUCostWeightedEviction is the table-driven contract of the
-// cost-aware policy: among the least-recently-used entries, the lowest
-// Cost/Bytes density goes first; without a weigher, eviction is exact
-// LRU.
+// cost-aware policy within one shard: among the least-recently-used
+// entries, the lowest Cost/Bytes density goes first; without a
+// weigher (the profile cache's configuration), eviction is exact LRU.
 func TestLRUCostWeightedEviction(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -49,6 +78,23 @@ func TestLRUCostWeightedEviction(t *testing.T) {
 			overflow: []string{"d"},
 			evicted:  []string{"a"},
 			kept:     []string{"b", "c", "d"},
+		},
+		{
+			name:     "unweighted capacity 2 evicts the oldest",
+			capacity: 2,
+			insert:   []string{"a", "b"},
+			overflow: []string{"c"},
+			evicted:  []string{"a"},
+			kept:     []string{"b", "c"},
+		},
+		{
+			name:     "unweighted + touch",
+			capacity: 2,
+			insert:   []string{"a", "b"},
+			touch:    []string{"a"},
+			overflow: []string{"c"},
+			evicted:  []string{"b"},
+			kept:     []string{"a", "c"},
 		},
 		{
 			name:     "expensive tail entry survives, cheap neighbor goes",
@@ -93,17 +139,17 @@ func TestLRUCostWeightedEviction(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := LRUOptions[string]{Capacity: tc.capacity}
+			opt := Options[string]{Capacity: tc.capacity}
 			if tc.weights != nil {
 				opt.Weigh = func(v string) Weight {
 					// Values are "v:<key>"; weigh by key.
 					return tc.weights[v[2:]]
 				}
 			}
-			c := NewLRU(opt)
+			c := newStore(opt, 1)
 			fill(t, c, tc.insert)
 			for _, k := range tc.touch {
-				if _, ok := c.Peek(k); !ok {
+				if _, ok := c.peek(k); !ok {
 					t.Fatalf("touch target %q not resident", k)
 				}
 				c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil })
@@ -124,6 +170,18 @@ func TestLRUCostWeightedEviction(t *testing.T) {
 					t.Errorf("%q should have survived; resident: %v", k, res)
 				}
 			}
+			// Residency is what lookups see: kept keys hit, evicted
+			// keys recompute.
+			for _, k := range tc.kept {
+				if _, tier, _ := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); tier != TierMem {
+					t.Errorf("lookup of kept %q: tier %v, want mem", k, tier)
+				}
+			}
+			for _, k := range tc.evicted {
+				if _, tier, _ := c.GetOrCompute(k, func() (string, error) { return "v:" + k, nil }); tier != TierMiss {
+					t.Errorf("lookup of evicted %q: tier %v, want miss", k, tier)
+				}
+			}
 		})
 	}
 }
@@ -139,23 +197,23 @@ func TestLRUNewcomerIsNeverItsOwnVictim(t *testing.T) {
 		"exp2":  {Cost: 50, Bytes: 1},
 		"cheap": {Cost: 0.001, Bytes: 1},
 	}
-	c := NewLRU(LRUOptions[string]{Capacity: 2, Weigh: func(v string) Weight { return weights[v[2:]] }})
+	c := newStore(Options[string]{Capacity: 2, Weigh: func(v string) Weight { return weights[v[2:]] }}, 1)
 	fill(t, c, []string{"exp1", "exp2", "cheap"})
-	if _, ok := c.Peek("cheap"); !ok {
+	if _, ok := c.peek("cheap"); !ok {
 		t.Fatalf("cheap newcomer evicted itself; resident: %v", resident(c))
 	}
 	// The victim was the lower-density old entry, not the newcomer.
-	if _, ok := c.Peek("exp2"); ok {
+	if _, ok := c.peek("exp2"); ok {
 		t.Errorf("exp2 (density 50) survived over exp1 (density 100); resident: %v", resident(c))
 	}
 	// And the now-resident cheap entry hits instead of recomputing.
-	if _, hit, _ := c.GetOrCompute("cheap", func() (string, error) { return "v:cheap", nil }); !hit {
+	if _, tier, _ := c.GetOrCompute("cheap", func() (string, error) { return "v:cheap", nil }); tier != TierMem {
 		t.Error("cheap entry not resident after insert")
 	}
 	// Capacity 1: the degenerate case must still admit every newcomer.
-	c1 := NewLRU(LRUOptions[string]{Capacity: 1, Weigh: func(v string) Weight { return weights[v[2:]] }})
+	c1 := newStore(Options[string]{Capacity: 1, Weigh: func(v string) Weight { return weights[v[2:]] }}, 1)
 	fill(t, c1, []string{"exp1", "cheap"})
-	if _, ok := c1.Peek("cheap"); !ok {
+	if _, ok := c1.peek("cheap"); !ok {
 		t.Error("capacity-1 cache rejected its newest entry")
 	}
 }
@@ -164,35 +222,36 @@ func TestLRUNewcomerIsNeverItsOwnVictim(t *testing.T) {
 // weigher must not divide by zero or produce negative densities that
 // shield entries forever.
 func TestLRUWeightSanitized(t *testing.T) {
-	c := NewLRU(LRUOptions[string]{Capacity: 2, Weigh: func(v string) Weight {
+	c := newStore(Options[string]{Capacity: 2, Weigh: func(v string) Weight {
 		return Weight{Cost: -5, Bytes: 0}
-	}})
+	}}, 1)
 	fill(t, c, []string{"a", "b", "c"})
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
 }
 
-// TestLRUEntriesRoundTrip: Entries (LRU-first) fed back through Add
-// reconstructs contents and recency — the snapshot contract.
+// TestLRUEntriesRoundTrip: a shard lists its entries LRU-first, so
+// feeding them back through an insert reconstructs contents and
+// recency.
 func TestLRUEntriesRoundTrip(t *testing.T) {
-	src := NewLRU(LRUOptions[string]{Capacity: 4})
+	src := newStore(Options[string]{Capacity: 4}, 1)
 	fill(t, src, []string{"a", "b", "c", "d"})
 	src.GetOrCompute("a", func() (string, error) { return "v:a", nil }) // a becomes MRU
 
-	entries := src.Entries()
+	entries := src.entries()
 	if len(entries) != 4 {
 		t.Fatalf("entries = %d, want 4", len(entries))
 	}
-	if entries[0].Key != "b" || entries[len(entries)-1].Key != "a" {
+	if entries[0].key != "b" || entries[len(entries)-1].key != "a" {
 		t.Fatalf("entries order %v, want LRU-first (b … a)", entries)
 	}
 
-	dst := NewLRU(LRUOptions[string]{Capacity: 4})
+	dst := newStore(Options[string]{Capacity: 4}, 1)
 	for _, e := range entries {
-		dst.Add(e.Key, e.Val)
+		dst.add(e.key, e.val)
 	}
-	if got, ok := dst.Peek("a"); !ok || got != "v:a" {
+	if got, ok := dst.peek("a"); !ok || got != "v:a" {
 		t.Fatalf("a after round trip: %q %v", got, ok)
 	}
 	// Overflowing the rebuilt cache must evict the original LRU order:
@@ -204,13 +263,12 @@ func TestLRUEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLRUCoalescingAndErrors re-pins the behavior the service relied on
-// before the move to internal/cache: in-flight coalescing, uncached
-// errors, panic recovery.
+// TestLRUCoalescingAndErrors pins the behavior the service relies on:
+// in-flight coalescing, uncached errors, panic recovery.
 func TestLRUCoalescingAndErrors(t *testing.T) {
 	var computes atomic.Int64
 	var hits atomic.Int64
-	c := NewLRU(LRUOptions[int]{Capacity: 8, OnHit: func() { hits.Add(1) }})
+	c := newStore(Options[int]{Capacity: 8, OnHit: func(Tier) { hits.Add(1) }}, 1)
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
@@ -237,14 +295,14 @@ func TestLRUCoalescingAndErrors(t *testing.T) {
 	if _, _, err := c.GetOrCompute("err", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, hit, _ := c.GetOrCompute("err", func() (int, error) { return 1, nil }); hit {
+	if _, tier, _ := c.GetOrCompute("err", func() (int, error) { return 1, nil }); tier != TierMiss {
 		t.Error("errors must not be cached")
 	}
 	if _, _, err := c.GetOrCompute("panic", func() (int, error) { panic("ow") }); err == nil {
 		t.Fatal("panic must surface as error")
 	}
-	if _, hit, err := c.GetOrCompute("panic", func() (int, error) { return 2, nil }); hit || err != nil {
-		t.Errorf("retry after panic: hit=%v err=%v", hit, err)
+	if _, tier, err := c.GetOrCompute("panic", func() (int, error) { return 2, nil }); tier != TierMiss || err != nil {
+		t.Errorf("retry after panic: tier=%v err=%v", tier, err)
 	}
 }
 
@@ -253,9 +311,9 @@ func TestLRUCoalescingAndErrors(t *testing.T) {
 // it — i.e. the window bounds work per eviction, not correctness.
 func TestLRUEvictScanWindow(t *testing.T) {
 	weights := map[string]Weight{}
-	c := NewLRU(LRUOptions[string]{Capacity: evictScan + 4, Weigh: func(v string) Weight {
+	c := newStore(Options[string]{Capacity: evictScan + 4, Weigh: func(v string) Weight {
 		return weights[v[2:]]
-	}})
+	}}, 1)
 	// One precious entry buried at the very bottom of the LRU list,
 	// then a tail of cheap entries longer than the scan window.
 	weights["gold"] = Weight{Cost: 1000, Bytes: 1}
@@ -273,7 +331,7 @@ func TestLRUEvictScanWindow(t *testing.T) {
 		weights[k] = Weight{Cost: 1, Bytes: 1}
 		fill(t, c, []string{k})
 	}
-	if _, ok := c.Peek("gold"); !ok {
+	if _, ok := c.peek("gold"); !ok {
 		t.Error("high-cost entry evicted while cheaper candidates were in the scan window")
 	}
 }

@@ -1,7 +1,6 @@
-package cache
+package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -14,23 +13,13 @@ type tierCell struct {
 	N int `json:"n"`
 }
 
-func newTestTiered(t *testing.T, capacity, shards int, disk *DiskStore) *Tiered[tierCell] {
+func newTestStore(t *testing.T, capacity, shards int, disk *Disk) *Store[tierCell] {
 	t.Helper()
-	tc, err := NewTiered(TieredOptions[tierCell]{
+	tc := newStore(Options[tierCell]{
 		Capacity: capacity,
-		Shards:   shards,
 		Weigh:    func(c tierCell) Weight { return Weight{Cost: float64(c.N), Bytes: 16} },
-		Encode:   func(c tierCell) ([]byte, error) { return json.Marshal(c) },
-		Decode: func(b []byte) (tierCell, error) {
-			var c tierCell
-			err := json.Unmarshal(b, &c)
-			return c, err
-		},
-		Disk: disk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Disk:     disk,
+	}, shards)
 	t.Cleanup(tc.Close)
 	return tc
 }
@@ -41,7 +30,7 @@ func newTestTiered(t *testing.T, capacity, shards int, disk *DiskStore) *Tiered[
 // memory hit (TierMem) — all without ever recomputing.
 func TestTieredEvictSpillPromote(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk) // capacity 1: the second insert evicts the first
+	tc := newTestStore(t, 1, 1, disk) // capacity 1: the second insert evicts the first
 
 	computes := 0
 	get := func(key string, n int) (tierCell, Tier) {
@@ -62,8 +51,8 @@ func TestTieredEvictSpillPromote(t *testing.T) {
 	if _, tier := get("b", 2); tier != TierMiss {
 		t.Fatalf("first lookup of b: tier %v, want miss", tier)
 	}
-	tc.Flush() // a's spill has landed
-	if _, ok := tc.Peek("a"); ok {
+	disk.Flush() // a's spill has landed
+	if _, ok := tc.peek("a"); ok {
 		t.Fatal("a still memory-resident at capacity 1")
 	}
 	if !disk.Contains("a") {
@@ -74,7 +63,7 @@ func TestTieredEvictSpillPromote(t *testing.T) {
 	if tier != TierDisk || v.N != 1 {
 		t.Fatalf("spilled lookup of a = (%+v, %v), want ({1}, disk)", v, tier)
 	}
-	if _, ok := tc.Peek("a"); !ok {
+	if _, ok := tc.peek("a"); !ok {
 		t.Fatal("disk hit did not promote a into memory")
 	}
 	if v, tier := get("a", 999); tier != TierMem || v.N != 1 {
@@ -99,11 +88,9 @@ func TestTieredTierString(t *testing.T) {
 func TestTieredObservers(t *testing.T) {
 	var memHits, diskHits, misses atomic.Int64
 	disk := openTestDisk(t, DiskOptions{})
-	tc, err := NewTiered(TieredOptions[tierCell]{
-		Capacity: 1, Shards: 1,
-		Encode: func(c tierCell) ([]byte, error) { return json.Marshal(c) },
-		Decode: func(b []byte) (tierCell, error) { var c tierCell; return c, json.Unmarshal(b, &c) },
-		Disk:   disk,
+	tc := newStore(Options[tierCell]{
+		Capacity: 1,
+		Disk:     disk,
 		OnHit: func(tier Tier) {
 			if tier == TierDisk {
 				diskHits.Add(1)
@@ -112,16 +99,13 @@ func TestTieredObservers(t *testing.T) {
 			}
 		},
 		OnMiss: func() { misses.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	defer tc.Close()
 
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // miss
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // mem hit
 	tc.GetOrCompute("b", func() (tierCell, error) { return tierCell{N: 2}, nil }) // miss, evicts a
-	tc.Flush()
+	disk.Flush()
 	tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 1}, nil }) // disk hit
 	tc.GetOrCompute("c", func() (tierCell, error) { return tierCell{}, errors.New("nope") })
 
@@ -134,10 +118,10 @@ func TestTieredObservers(t *testing.T) {
 // without promoting — the admission-control probe contract.
 func TestTieredContainsBothTiers(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 1, 1, disk)
-	tc.Add("a", tierCell{N: 1})
-	tc.Add("b", tierCell{N: 2}) // evicts and spills a
-	tc.Flush()
+	tc := newTestStore(t, 1, 1, disk)
+	tc.add("a", tierCell{N: 1})
+	tc.add("b", tierCell{N: 2}) // evicts and spills a
+	disk.Flush()
 
 	if !tc.Contains("a") {
 		t.Error("Contains(a) false for a spilled entry")
@@ -148,7 +132,7 @@ func TestTieredContainsBothTiers(t *testing.T) {
 	if tc.Contains("c") {
 		t.Error("Contains(c) true for an absent key")
 	}
-	if _, ok := tc.Peek("a"); ok {
+	if _, ok := tc.peek("a"); ok {
 		t.Error("Contains promoted a into memory")
 	}
 }
@@ -161,7 +145,7 @@ func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 	disk.Put("a", []byte("not json"), 1)
 	disk.Flush()
 
-	tc := newTestTiered(t, 4, 1, disk)
+	tc := newTestStore(t, 4, 1, disk)
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 7}, nil })
 	if err != nil || v.N != 7 || tier != TierMiss {
 		t.Fatalf("GetOrCompute over garbage payload = (%+v, %v, %v), want ({7}, miss, nil)", v, tier, err)
@@ -171,15 +155,12 @@ func TestTieredUndecodablePayloadRecomputes(t *testing.T) {
 	}
 }
 
-// TestTieredMemoryOnly: without a disk tier, Tiered behaves exactly
-// like Sharded — evictions discard, SpillAll/Flush/Close are no-ops.
+// TestTieredMemoryOnly: without a disk tier, evictions discard and
+// SpillAll/Close are no-ops.
 func TestTieredMemoryOnly(t *testing.T) {
-	tc, err := NewTiered(TieredOptions[tierCell]{Capacity: 1, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.Add("a", tierCell{N: 1})
-	tc.Add("b", tierCell{N: 2})
+	tc := newStore(Options[tierCell]{Capacity: 1}, 1)
+	tc.add("a", tierCell{N: 1})
+	tc.add("b", tierCell{N: 2})
 	if tc.Contains("a") {
 		t.Error("evicted entry resident with no disk tier")
 	}
@@ -187,20 +168,10 @@ func TestTieredMemoryOnly(t *testing.T) {
 		t.Errorf("DiskLen = %d without a disk", n)
 	}
 	tc.SpillAll()
-	tc.Flush()
 	tc.Close()
 	v, tier, err := tc.GetOrCompute("a", func() (tierCell, error) { return tierCell{N: 9}, nil })
 	if err != nil || tier != TierMiss || v.N != 9 {
 		t.Errorf("memory-only recompute = (%+v, %v, %v)", v, tier, err)
-	}
-}
-
-// TestTieredRequiresCodec: a disk tier without Encode/Decode is a
-// constructor error, not a latent panic.
-func TestTieredRequiresCodec(t *testing.T) {
-	disk := openTestDisk(t, DiskOptions{})
-	if _, err := NewTiered(TieredOptions[tierCell]{Capacity: 1, Disk: disk}); err == nil {
-		t.Fatal("NewTiered accepted a disk tier with no codec")
 	}
 }
 
@@ -209,14 +180,14 @@ func TestTieredRequiresCodec(t *testing.T) {
 // them all — the shutdown/restart warmth contract.
 func TestTieredSpillAll(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
-	disk, err := OpenDisk(DiskOptions{Dir: dir, QueueLen: 4}) // queue smaller than the working set
+	disk, err := OpenDisk(DiskOptions{Dir: dir, queueLen: 4}) // queue smaller than the working set
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTestTiered(t, 64, 4, disk)
+	tc := newTestStore(t, 64, 4, disk)
 	const n = 20
 	for i := 0; i < n; i++ {
-		tc.Add(fmt.Sprintf("k%d", i), tierCell{N: i + 1})
+		tc.add(fmt.Sprintf("k%d", i), tierCell{N: i + 1})
 	}
 	tc.SpillAll()
 	tc.Close()
@@ -225,7 +196,7 @@ func TestTieredSpillAll(t *testing.T) {
 	}
 
 	disk2 := openTestDisk(t, DiskOptions{Dir: dir})
-	tc2 := newTestTiered(t, 64, 4, disk2)
+	tc2 := newTestStore(t, 64, 4, disk2)
 	for i := 0; i < n; i++ {
 		v, tier, err := tc2.GetOrCompute(fmt.Sprintf("k%d", i), func() (tierCell, error) {
 			return tierCell{N: -1}, nil
@@ -240,14 +211,14 @@ func TestTieredSpillAll(t *testing.T) {
 // costs a single disk read; joiners see a hit.
 func TestTieredCoalescedDiskRead(t *testing.T) {
 	disk := openTestDisk(t, DiskOptions{})
-	tc := newTestTiered(t, 8, 1, disk)
-	tc.Add("cold", tierCell{N: 5})
+	tc := newTestStore(t, 8, 1, disk)
+	tc.add("cold", tierCell{N: 5})
 	// Evict it by filling the single shard past capacity.
 	for i := 0; i < 16; i++ {
-		tc.Add(fmt.Sprintf("filler%d", i), tierCell{N: i})
+		tc.add(fmt.Sprintf("filler%d", i), tierCell{N: i})
 	}
-	tc.Flush()
-	if _, ok := tc.Peek("cold"); ok {
+	disk.Flush()
+	if _, ok := tc.peek("cold"); ok {
 		t.Skip("cold not evicted; capacity split kept it resident")
 	}
 
@@ -283,8 +254,8 @@ func TestTieredCoalescedDiskRead(t *testing.T) {
 // evict → spill → promote cycles while values stay key-determined, so
 // any cross-tier corruption shows up as a wrong value.
 func TestTieredConcurrentPromoteEvictStorm(t *testing.T) {
-	disk := openTestDisk(t, DiskOptions{QueueLen: 16, MaxBytes: 1 << 20})
-	tc := newTestTiered(t, 8, 2, disk) // tiny memory: constant eviction traffic
+	disk := openTestDisk(t, DiskOptions{queueLen: 16, MaxBytes: 1 << 20})
+	tc := newTestStore(t, 8, 2, disk) // tiny memory: constant eviction traffic
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
